@@ -115,6 +115,9 @@ let method_conv =
       ("portfolio", `Portfolio);
     ]
 
+let print_plan_summary (run : Smoothe_extract.run) =
+  Option.iter print_endline (Smoothe_extract.plan_summary run.Smoothe_extract.plan)
+
 let run_method g ~method_ ~time_limit ~batch ~iters ~assumption ~lambda ~seed ~plan ~health
     ~checkpoint_dir ~checkpoint_every ~resume ~show_term ~preflight ~jobs ~fix_threshold
     ~hybrid_gap =
@@ -161,7 +164,8 @@ let run_method g ~method_ ~time_limit ~batch ~iters ~assumption ~lambda ~seed ~p
         (match run.Hybrid_pipeline.smoothe_run with
         | Some r ->
             Printf.printf "stage smoothe: %d iterations, incumbent %.6g\n"
-              r.Smoothe_extract.iterations r.Smoothe_extract.result.Extractor.cost
+              r.Smoothe_extract.iterations r.Smoothe_extract.result.Extractor.cost;
+            print_plan_summary r
         | None -> Printf.printf "stage smoothe: skipped (greedy incumbent)\n");
         let h = run.Hybrid_pipeline.hybrid in
         List.iter
@@ -239,6 +243,7 @@ let run_method g ~method_ ~time_limit ~batch ~iters ~assumption ~lambda ~seed ~p
           run.Smoothe_extract.profile.Smoothe_extract.loss_time
           run.Smoothe_extract.profile.Smoothe_extract.grad_time
           run.Smoothe_extract.profile.Smoothe_extract.sample_time;
+        print_plan_summary run;
         run.Smoothe_extract.result
   in
   Format.printf "%a@." Extractor.pp result;
@@ -298,25 +303,21 @@ let assumption_flag =
 let lambda_flag =
   Arg.(value & opt float 100.0 & info [ "lambda" ] ~docv:"L" ~doc:"NOTEARS penalty weight.")
 
+let plan_modes = Arg.enum [ ("off", "off"); ("on", "on"); ("check", "check") ]
+let default_plan = Smoothe_config.plan_mode_name Smoothe_config.default.Smoothe_config.plan
+
 let plan_flag =
   Arg.(
     value
-    & opt (enum [ ("off", "off"); ("on", "on"); ("check", "check") ]) "off"
+    & opt plan_modes default_plan
     & info [ "plan" ] ~docv:"MODE"
         ~doc:
-          "SmoothE static-plan replay: $(b,off) interprets every iteration; $(b,on) \
-           captures the iteration IR, verifies it with the plan-level dataflow analysis \
-           and replays later iterations over a preallocated arena with zero tensor \
-           allocation; $(b,check) replays AND interprets every iteration, asserting \
-           bit-identical losses, probabilities and gradients (differential testing).")
-
-let plan_check_replay_flag =
-  Arg.(
-    value & flag
-    & info [ "plan-check-replay" ]
-        ~doc:
-          "Shorthand for $(b,--plan check): run the replayed and interpreted iteration \
-           side by side and fail loudly on any bitwise divergence.")
+          "SmoothE static-plan replay: $(b,on) captures the iteration IR, verifies it \
+           with the plan-level dataflow analysis and replays later iterations over a \
+           preallocated arena with zero tensor allocation; $(b,off) interprets every \
+           iteration (the escape hatch); $(b,check) replays AND interprets every \
+           iteration, asserting bit-identical losses, probabilities and gradients \
+           (differential testing).")
 
 let seed_flag = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 
@@ -436,14 +437,13 @@ let write_metrics_snapshot ?(format = `Json) = function
       Printf.printf "metrics written to %s\n" path
 
 let extract_cmd =
-  let run spec method_ time_limit batch iters assumption lambda seed plan plan_check_replay
-      fault_plan health_report trace_out metrics_out checkpoint_dir checkpoint_every resume
-      show_term no_preflight jobs fix_threshold hybrid_gap =
+  let run spec method_ time_limit batch iters assumption lambda seed plan fault_plan
+      health_report trace_out metrics_out checkpoint_dir checkpoint_every resume show_term
+      no_preflight jobs fix_threshold hybrid_gap =
     if jobs < 1 then begin
       Printf.eprintf "--jobs must be >= 1\n";
       exit 1
     end;
-    let plan = if plan_check_replay then "check" else plan in
     Pool.set_jobs jobs;
     let g = load_egraph spec in
     let health = Health.create () in
@@ -477,9 +477,8 @@ let extract_cmd =
   Cmd.v (Cmd.info "extract" ~doc:"Extract an optimised program from an e-graph.")
     Term.(
       const run $ instance_arg $ method_flag $ time_limit_flag $ batch_flag $ iters_flag
-      $ assumption_flag $ lambda_flag $ seed_flag $ plan_flag $ plan_check_replay_flag
-      $ fault_plan_flag $ health_report_flag
-      $ trace_flag $ metrics_flag $ checkpoint_dir_flag $ checkpoint_every_flag $ resume_flag
+      $ assumption_flag $ lambda_flag $ seed_flag $ plan_flag $ fault_plan_flag
+      $ health_report_flag $ trace_flag $ metrics_flag $ checkpoint_dir_flag $ checkpoint_every_flag $ resume_flag
       $ show_term_flag $ no_preflight_flag $ jobs_flag $ fix_threshold_flag $ hybrid_gap_flag)
 
 (* --------------------------------------------------------------- analyze *)
@@ -1009,13 +1008,13 @@ let serve_cmd =
   let plan =
     Arg.(
       value
-      & opt (enum [ ("off", "off"); ("on", "on"); ("check", "check") ]) "off"
+      & opt plan_modes default_plan
       & info [ "plan" ] ~docv:"MODE"
           ~doc:
             "Static-plan replay for SmoothE requests: $(b,on) arms verified \
-             zero-allocation replay of each request's iteration IR, $(b,check) also \
-             interprets and asserts bitwise identity; gate failures fall back to the \
-             interpreter per request.")
+             zero-allocation replay of each request's iteration IR, $(b,off) interprets \
+             every iteration, $(b,check) also interprets and asserts bitwise identity; \
+             gate failures fall back to the interpreter per request.")
   in
   let journal_dir =
     Arg.(
@@ -1404,8 +1403,8 @@ let compare_cmd =
       (fun method_ ->
         ignore
           (run_method g ~method_ ~time_limit ~batch:16 ~iters:150 ~assumption:"hybrid"
-             ~lambda:100.0 ~seed:7 ~plan:"off" ~health:(Health.create ()) ~checkpoint_dir:None
-             ~checkpoint_every:25 ~resume:false ~show_term:false ~preflight:false ~jobs:1
+             ~lambda:100.0 ~seed:7 ~plan:default_plan ~health:(Health.create ())
+             ~checkpoint_dir:None ~checkpoint_every:25 ~resume:false ~show_term:false ~preflight:false ~jobs:1
              ~fix_threshold:0.9 ~hybrid_gap:0.0))
       methods
   in

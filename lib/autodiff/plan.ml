@@ -9,16 +9,6 @@
    (placement supplied by the caller, verified independently by
    lib/analysis/plan_check) or dedicated buffers. *)
 
-type capture = {
-  ir : Ad.Ir.t;
-  pay : Ad.payload array;
-  vals : Tensor.t array;
-  root : int;
-}
-
-let capture tp ~root =
-  { ir = Ad.ir tp; pay = Ad.payloads tp; vals = Ad.values tp; root = Ad.node_id root }
-
 (* ---- Op facts ----------------------------------------------------- *)
 
 let op_supported = function
@@ -30,6 +20,25 @@ let op_supported = function
   | _ -> false
 
 let is_leaf = function "const" | "param" -> true | _ -> false
+
+(* ---- Capture ------------------------------------------------------ *)
+
+type capture = {
+  ir : Ad.Ir.t;
+  pay : Ad.payload array;
+  vals : Tensor.t option array;
+  root : int;
+}
+
+(* Only leaf values are kept: [stable] and [compile] read nothing else,
+   and holding the interior tensors would keep a whole iteration's tape
+   alive while the next one runs and the arena is allocated. *)
+let capture tp ~root =
+  let ir = Ad.ir tp in
+  let vals =
+    Array.mapi (fun i t -> if is_leaf ir.(i).Ad.Ir.op then Some t else None) (Ad.values tp)
+  in
+  { ir; pay = Ad.payloads tp; vals; root = Ad.node_id root }
 
 let backward_reads_arg op k =
   match op, k with
@@ -50,6 +59,11 @@ let log_floor = 1e-12
 exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
+
+let leaf_value cap i =
+  match cap.vals.(i) with
+  | Some t -> t
+  | None -> failf "node %d (%s): capture holds no leaf value" i cap.ir.(i).Ad.Ir.op
 
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -112,10 +126,10 @@ let stable c1 c2 =
       payload_equal i c1.pay.(i) c2.pay.(i);
       match a.op with
       | "param" ->
-          if c1.vals.(i) != c2.vals.(i) then
+          if leaf_value c1 i != leaf_value c2 i then
             failf "node %d: param rebound to a different tensor" i
       | "const" ->
-          if not (Tensor.bits_equal c1.vals.(i) c2.vals.(i)) then
+          if not (Tensor.bits_equal (leaf_value c1 i) (leaf_value c2 i)) then
             failf "node %d: const leaf value changed between captures" i
       | _ -> ()
     done;
@@ -274,7 +288,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       let slot = assign.(i) in
       if is_leaf ir.(i).op then begin
         if slot <> -1 then failf "leaf node %d must not live in the arena" i;
-        node_vals.(i) <- Some cap.vals.(i)
+        node_vals.(i) <- Some (leaf_value cap i)
       end
       else if interior.(i) then begin
         if slot <> -1 then failf "chain-interior node %d has no buffer to place in slot %d" i slot

@@ -27,14 +27,18 @@
 type capture = {
   ir : Ad.Ir.t;
   pay : Ad.payload array;  (** per-node runtime payloads *)
-  vals : Tensor.t array;  (** per-node forward values (leaves are aliased) *)
+  vals : Tensor.t option array;
+      (** per-node forward values: [Some] for [param]/[const] leaves
+          (aliased, not copied), [None] for every other node *)
   root : int;  (** node the backward sweep seeds *)
 }
 
 val capture : Ad.tape -> root:Ad.v -> capture
 (** Snapshot a finished forward pass. Leaf tensors are captured by
     reference: a [param] updated in place by an optimiser is seen by
-    subsequent replays, exactly as the interpreter would. *)
+    subsequent replays, exactly as the interpreter would. Interior
+    values are dropped: {!stable} and {!compile} read only leaves, so a
+    capture held across iterations keeps no interior tensor alive. *)
 
 val stable : capture -> capture -> (unit, string) result
 (** Structural equality of two captures: same ops, arguments, shapes,

@@ -64,7 +64,7 @@ let default =
     min_temperature = 0.2;
     entropy_weight = 0.0;
     seed = 7;
-    plan = Plan_off;
+    plan = Plan_on;
   }
 
 let with_assumption assumption cfg = { cfg with assumption }

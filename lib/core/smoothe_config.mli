@@ -15,11 +15,14 @@ val assumption_name : assumption -> string
 val assumption_of_string : string -> assumption
 
 type plan_mode =
-  | Plan_off  (** interpret every iteration (the baseline) *)
+  | Plan_off
+      (** interpret every iteration: the escape hatch, and the baseline
+          replay is measured against *)
   | Plan_on
-      (** capture iterations 1–2, verify with the plan_check analysis,
-          then replay 3..N over the preallocated arena; any gate failure
-          silently falls back to interpretation *)
+      (** the default: capture iterations 1–2, verify with the
+          plan_check analysis, then replay 3..N over the preallocated
+          arena; any gate failure falls back to interpretation and is
+          recorded as a health event *)
   | Plan_check
       (** replay AND interpret every iteration, asserting bit-identical
           losses, probabilities and gradients (differential testing) *)
@@ -61,6 +64,9 @@ type t = {
 }
 
 val default : t
+(** The paper's settings, with [plan = Plan_on]: replay is
+    bit-identical to interpretation and measured faster, so it is the
+    default everywhere a configuration does not say otherwise. *)
 
 val with_assumption : assumption -> t -> t
 

@@ -13,6 +13,22 @@ type history_point = {
   incumbent : float;
 }
 
+type plan_outcome =
+  | Replay_off
+  | Replay_armed of { stats : Plan.stats; naive_bytes : int }
+  | Replay_disabled of string
+
+let plan_summary = function
+  | Replay_off -> None
+  | Replay_armed { stats = st; naive_bytes } ->
+      Some
+        (Printf.sprintf
+           "plan armed: %d nodes, %d KiB arena + %d KiB pinned (interpreter allocates %d KiB \
+            per iteration), %d ops fused into %d chains"
+           st.Plan.nodes (st.Plan.arena_bytes / 1024) (st.Plan.dedicated_bytes / 1024)
+           (naive_bytes / 1024) st.Plan.fused_nodes st.Plan.chains)
+  | Replay_disabled why -> Some ("plan disabled: " ^ why)
+
 type run = {
   result : Extractor.r;
   iterations : int;
@@ -25,6 +41,7 @@ type run = {
   recoveries : int;
   health : Health.event list;
   final_cp : float array option;
+  plan : plan_outcome;
 }
 
 let member = "smoothe"
@@ -174,6 +191,7 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
           recoveries = 0;
           health = [];
           final_cp = None;
+          plan = Replay_off;
         }
   | Some { c_config; c_device; c_compiled; c_max_batch; c_desc; c_rung } ->
       let config = c_config and device = c_device and compiled = c_compiled in
@@ -308,19 +326,23 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
          into a static schedule, and every later iteration replays with
          zero tape construction and zero tensor allocation. Any gate
          failure records a Preflight event and leaves the run on the
-         interpreter — the plan must never change results, only cost. *)
+         interpreter — the plan must never change results, only cost.
+         Arming is reported only in the run's [plan] outcome; a fallback
+         is also a health event. *)
       let plan_mode = config.Smoothe_config.plan in
       let plan_state =
         ref (match plan_mode with Smoothe_config.Plan_off -> `Off | _ -> `Cold)
       in
+      let plan_outcome = ref Replay_off in
       let disable_plan why =
         Health.record log ~member Health.Preflight ("plan disabled: " ^ why);
         if !Obs.on then Metrics.incr "plan.disabled";
-        plan_state := `Disabled
+        plan_outcome := Replay_disabled why;
+        plan_state := `Off
       in
       let advance_plan (fwd : Relaxation.forward) =
         match !plan_state with
-        | `Off | `Disabled | `Ready _ -> ()
+        | `Off | `Ready _ -> ()
         | `Cold ->
             if Tensor.Backend.current () <> Tensor.Backend.Vectorized then
               disable_plan
@@ -381,15 +403,9 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
                           (float_of_int st.Plan.arena_bytes);
                         Metrics.incr ~by:(float_of_int st.Plan.fused_nodes) "plan.fused_ops"
                       end;
-                      Health.record log ~member Health.Preflight
-                        (Printf.sprintf
-                           "plan armed: %d nodes, %d KiB arena + %d KiB pinned (interpreter \
-                            allocates %d KiB per iteration), %d ops fused into %d chains"
-                           st.Plan.nodes
-                           (st.Plan.arena_bytes / 1024)
-                           (st.Plan.dedicated_bytes / 1024)
-                           (report.Plan_check.naive_bytes / 1024)
-                           st.Plan.fused_nodes st.Plan.chains);
+                      plan_outcome :=
+                        Replay_armed
+                          { stats = st; naive_bytes = report.Plan_check.naive_bytes };
                       plan_state :=
                         `Ready { rp; rp_theta; rp_cp; rp_per_seed; rp_penalty; rp_loss }))
       in
@@ -683,4 +699,5 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
           recoveries = 0;
           health = [];
           final_cp = !incumbent_cp;
+          plan = !plan_outcome;
         }

@@ -23,6 +23,20 @@ type history_point = {
   incumbent : float;  (** best cost so far *)
 }
 
+(** What static-plan replay did in a run. *)
+type plan_outcome =
+  | Replay_off  (** [Plan_off], or the run ended before a second capture *)
+  | Replay_armed of { stats : Plan.stats; naive_bytes : int }
+      (** compiled and verified; [naive_bytes] is what the interpreter
+          allocates per iteration *)
+  | Replay_disabled of string
+      (** a gate refused the plan (the reason); the run stayed on the
+          interpreter and recorded a [Preflight] health event *)
+
+val plan_summary : plan_outcome -> string option
+(** The one-line report: ["plan armed: ..."] or ["plan disabled: ..."];
+    [None] for [Replay_off]. *)
+
 type run = {
   result : Extractor.r;
   iterations : int;
@@ -39,6 +53,7 @@ type run = {
           seed, captured at the iteration the incumbent was found — the
           marginals the hybrid extractor's fixing rule consumes. [None]
           when no sample ever improved (or right after a resume). *)
+  plan : plan_outcome;
 }
 
 val extract :

@@ -349,6 +349,9 @@ let fig6 bank =
           batch = min 8 budget.Budget.smoothe.Smoothe_config.batch;
           max_iters = min 60 budget.Budget.smoothe.Smoothe_config.max_iters;
           time_limit = 120.0;
+          (* the figure compares backends of the interpreter; replay
+             runs only on the vectorised one and would skew the ratio *)
+          plan = Smoothe_config.Plan_off;
         }
       in
       let unoptimised =
@@ -709,6 +712,9 @@ let phases bank =
       Smoothe_config.assumption = Smoothe_config.Independent;
       batch = min 8 budget.Budget.smoothe.Smoothe_config.batch;
       max_iters = min 40 budget.Budget.smoothe.Smoothe_config.max_iters;
+      (* every iteration interpreted, so the smoothe.forward/backward
+         spans cover all of them on every backend *)
+      plan = Smoothe_config.Plan_off;
     }
   in
   let cases =

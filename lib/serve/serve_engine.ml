@@ -20,7 +20,7 @@ let default_config =
     retry_attempts = 2;
     cache_capacity = 128;
     preflight = false;
-    plan = Smoothe_config.Plan_off;
+    plan = Smoothe_config.default.Smoothe_config.plan;
   }
 
 let validate_config c =

@@ -144,6 +144,66 @@ let test_scalar_backend_refuses () =
   | Ok _ -> Alcotest.fail "compile must refuse the scalar backend"
   | Error _ -> ()
 
+(* ------------------------------------------------------------ capture *)
+
+let test_capture_keeps_only_leaves () =
+  let rng = Rng.create 31 in
+  let g = Test_util.random_egraph rng ~classes:8 in
+  let config = default_cfg in
+  let theta =
+    Tensor.init ~batch:config.Smoothe_config.batch ~width:(Egraph.num_nodes g)
+      (fun _ _ -> 0.5 *. Rng.gaussian rng)
+  in
+  let fwd =
+    Relaxation.forward (Relaxation.compile config g) ~config ~model:(Cost_model.of_egraph g)
+      ~theta
+  in
+  let c = Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss in
+  Array.iteri
+    (fun i nd ->
+      let op = nd.Ad.Ir.op in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d (%s) keeps a value iff it is a leaf" i op)
+        (Plan.is_leaf op)
+        (Option.is_some c.Plan.vals.(i)))
+    c.Plan.ir
+
+(* A two-leaf tape: sum(x * k), x a param, k a const. *)
+let leaf_capture ~x ~k =
+  let tp = Ad.tape () in
+  let xv = Ad.param tp x in
+  let loss = Ad.sum_all (Ad.mul xv (Ad.const tp k)) in
+  (Plan.capture tp ~root:loss, loss, xv)
+
+let test_capture_leaf_gates () =
+  let x = Tensor.init ~batch:2 ~width:3 (fun b w -> float_of_int ((3 * b) + w) -. 2.5) in
+  let k = Tensor.init ~batch:2 ~width:3 (fun b w -> 0.25 *. float_of_int (b + w + 1)) in
+  let c1, _, _ = leaf_capture ~x ~k in
+  let c2, loss, xv = leaf_capture ~x ~k:(Tensor.copy k) in
+  (match Plan.stable c1 c2 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("same param, bitwise-equal const: " ^ e));
+  let rejects what c msg =
+    match Plan.stable c1 c with
+    | Ok () -> Alcotest.fail (what ^ " accepted")
+    | Error e -> Alcotest.(check bool) (what ^ ": " ^ e) true (Test_util.contains e msg)
+  in
+  let rebound, _, _ = leaf_capture ~x:(Tensor.copy x) ~k in
+  rejects "rebound param" rebound "param rebound";
+  let k' = Tensor.copy k in
+  Tensor.set k' 1 2 (Tensor.get k 1 2 +. 1.0);
+  let changed, _, _ = leaf_capture ~x ~k:k' in
+  rejects "changed const" changed "const leaf value changed";
+  let x_id = Ad.node_id xv in
+  match Plan.compile ~outputs:[||] ~grads:[| x_id |] c2 with
+  | Error e -> Alcotest.fail ("compile from a leaf-only capture: " ^ e)
+  | Ok p ->
+      Plan.run_forward p;
+      check_bits "replayed loss" (Plan.value p (Ad.node_id loss)) (Ad.value loss);
+      Ad.backward loss;
+      Plan.run_backward p;
+      check_bits "replayed param gradient" (Plan.grad_of p x_id) (Ad.grad xv)
+
 (* ------------------------------------------------------- whole runs *)
 
 let run_cost mode g =
@@ -193,6 +253,57 @@ let test_extract_agree_across_jobs () =
             (Printf.sprintf "jobs %d: check mode bit-identical end to end" jobs)
             off check))
     [ 1; 4 ]
+
+(* The library default replays. On the smallest member of each
+   benchmark family (deep, shallow, cyclic, correlated) a default run
+   must arm and match a Plan_off run bit for bit: cost, iterations,
+   best seed and the whole history except wall-clock. *)
+let test_default_replays_like_off () =
+  let config = { Smoothe_config.default with Smoothe_config.max_iters = 8 } in
+  Alcotest.(check string) "default plan mode" "on"
+    (Smoothe_config.plan_mode_name config.Smoothe_config.plan);
+  let bits x = Int64.bits_of_float x in
+  let shape run =
+    ( bits run.Smoothe_extract.result.Extractor.cost,
+      run.Smoothe_extract.iterations,
+      run.Smoothe_extract.best_seed,
+      List.map
+        (fun h ->
+          ( h.Smoothe_extract.iter,
+            bits h.Smoothe_extract.relaxed_loss,
+            bits h.Smoothe_extract.sampled_cost,
+            bits h.Smoothe_extract.incumbent ))
+        run.Smoothe_extract.history )
+  in
+  List.iter
+    (fun jobs ->
+      Pool.set_jobs jobs;
+      Fun.protect
+        ~finally:(fun () -> Pool.set_jobs 1)
+        (fun () ->
+          List.iter
+            (fun name ->
+              let g = (Registry.find_instance name).Registry.build () in
+              let on = Smoothe_extract.extract ~config g in
+              let off =
+                Smoothe_extract.extract
+                  ~config:{ config with Smoothe_config.plan = Smoothe_config.Plan_off }
+                  g
+              in
+              let what = Printf.sprintf "%s, jobs %d" name jobs in
+              (match on.Smoothe_extract.plan with
+              | Smoothe_extract.Replay_armed _ -> ()
+              | _ -> Alcotest.fail (what ^ ": default run did not arm"));
+              Alcotest.(check bool)
+                (what ^ ": off run reports no plan")
+                true
+                (off.Smoothe_extract.plan = Smoothe_extract.Replay_off);
+              Alcotest.(check bool)
+                (what ^ ": bit-identical to the interpreter")
+                true
+                (shape on = shape off))
+            [ "box_3"; "maxsat_25_120"; "ResNet-50"; "adpcm" ]))
+    [ 1; 2 ]
 
 (* ------------------------------------------------- analysis properties *)
 
@@ -365,10 +476,16 @@ let () =
           Alcotest.test_case "allocates nothing" `Quick test_replay_allocates_nothing;
           Alcotest.test_case "scalar backend refused" `Quick test_scalar_backend_refuses;
         ] );
+      ( "capture",
+        [
+          Alcotest.test_case "keeps only leaf values" `Quick test_capture_keeps_only_leaves;
+          Alcotest.test_case "leaf gates and compile" `Quick test_capture_leaf_gates;
+        ] );
       ( "extraction",
         [
           Alcotest.test_case "modes agree" `Slow test_extract_modes_agree;
           Alcotest.test_case "jobs 1 and 4 agree" `Slow test_extract_agree_across_jobs;
+          Alcotest.test_case "default replays like off" `Slow test_default_replays_like_off;
         ] );
       ( "analysis",
         [
