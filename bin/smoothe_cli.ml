@@ -24,13 +24,25 @@ let require what = function
 let checked_pos_float ~flag v = require flag (Serve_protocol.positive_float ~what:flag v)
 let checked_pos_int ~flag v = require flag (Serve_protocol.positive_int ~what:flag v)
 
+(* Input files answer unreadable or malformed content the same way: a
+   one-line error naming the file, exit 1 — never an uncaught
+   exception. *)
+let read_input path parse =
+  match parse path with
+  | v -> v
+  | exception (Failure msg | Invalid_argument msg | Json.Parse_error msg | Sys_error msg) ->
+      let msg = String.map (function '\n' -> ' ' | c -> c) msg in
+      if String.starts_with ~prefix:(path ^ ":") msg then prerr_endline msg
+      else Printf.eprintf "%s: %s\n" path msg;
+      exit 1
+
 let load_egraph spec =
   (* an instance name from the registry, or a path to a serialized file
      (.json = extraction-gym format, anything else = the native text
      format) *)
   if Sys.file_exists spec then
-    if Filename.check_suffix spec ".json" then Gym.read_file spec
-    else Egraph.Serial.read_file spec
+    read_input spec
+      (if Filename.check_suffix spec ".json" then Gym.read_file else Egraph.Serial.read_file)
   else
     match Registry.find_instance spec with
     | inst -> inst.Registry.build ()
@@ -673,29 +685,28 @@ let analyze_cmd =
 
 let trace_summary_cmd =
   let run path out =
-    let src = Fsio.read_file path in
-    let j = Json.parse src in
-    let events = Json.get_list (Json.member "traceEvents" j) in
     let tbl : (string, float Vec.t) Hashtbl.t = Hashtbl.create 32 in
     let instants = ref [] in
-    List.iter
-      (fun e ->
-        let ph = Json.get_string (Json.member "ph" e) in
-        let name = Json.get_string (Json.member "name" e) in
-        if ph = "X" then begin
-          let dur = Json.get_number (Json.member "dur" e) in
-          let durs =
-            match Hashtbl.find_opt tbl name with
-            | Some v -> v
-            | None ->
-                let v = Vec.create () in
-                Hashtbl.add tbl name v;
-                v
-          in
-          Vec.push durs dur
-        end
-        else if ph = "i" then instants := name :: !instants)
-      events;
+    read_input path (fun path ->
+        let j = Json.parse (Fsio.read_file path) in
+        List.iter
+          (fun e ->
+            let ph = Json.get_string (Json.member "ph" e) in
+            let name = Json.get_string (Json.member "name" e) in
+            if ph = "X" then begin
+              let dur = Json.get_number (Json.member "dur" e) in
+              let durs =
+                match Hashtbl.find_opt tbl name with
+                | Some v -> v
+                | None ->
+                    let v = Vec.create () in
+                    Hashtbl.add tbl name v;
+                    v
+              in
+              Vec.push durs dur
+            end
+            else if ph = "i" then instants := name :: !instants)
+          (Json.get_list (Json.member "traceEvents" j)));
     let rows =
       Hashtbl.fold
         (fun name durs acc ->

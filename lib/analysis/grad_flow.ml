@@ -21,7 +21,6 @@ let imul a b =
 let iadd a b = mk (a.lo +. b.lo) (a.hi +. b.hi)
 let ineg a = { lo = -.a.hi; hi = -.a.lo }
 let isub a b = iadd a (ineg b)
-let ihull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 let iscale k a = imul { lo = k; hi = k } a
 let ishift k a = mk (a.lo +. k) (a.hi +. k)
 
@@ -137,22 +136,12 @@ let check ?root (ir : Ir.t) =
                 let l = float_of_int max_len in
                 mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi))
             | _ -> top)
-        | "segment_prod", 1 ->
-            let a = arg 0 in
-            if a.lo >= 0.0 && a.hi <= 1.0 then { lo = 0.0; hi = 1.0 }
-            else if a.lo >= 0.0 then { lo = 0.0; hi = Float.infinity }
-            else top
-        | "segment_max", 1 ->
-            let a = arg 0 in
-            (* empty segments contribute 0 *)
-            { lo = min a.lo 0.0; hi = max a.hi 0.0 }
+        | "propagate_step", 2 ->
+            (* probabilities in, class probabilities in [0, 1] (the
+               root pinned at 1, parentless classes at 0), times cp *)
+            let p = arg 0 in
+            if p.lo >= 0.0 && p.hi <= 1.0 then imul (arg 1) { lo = 0.0; hi = 1.0 } else top
         | "gather", 1 -> arg 0
-        | "override_columns", 1 -> (
-            let a = arg 0 in
-            match nd.Ir.meta with
-            | Ir.M_columns pins ->
-                Array.fold_left (fun acc (_, v) -> ihull acc { lo = v; hi = v }) a pins
-            | _ -> a)
         | ("mean_rows" | "slice_row"), 1 -> arg 0
         | ("sum_width" | "sum_all"), 1 -> (
             let a = arg 0 in
@@ -167,8 +156,14 @@ let check ?root (ir : Ir.t) =
       itv.(i) <- out;
       (* GF005: reductions over provably empty segments *)
       (match (nd.Ir.op, nd.Ir.meta) with
-      | ( ("segment_softmax" | "segment_sum" | "segment_prod" | "segment_max"),
-          Ir.M_segments { empty_segments; seg_count; _ } )
+      | "propagate_step", Ir.M_propagation { empty_classes; classes; _ } when empty_classes > 0
+        ->
+          add
+            (D.info ~code:"GF005" (D.Tape_node i)
+               "`propagate_step` at node %d (built in %s): %d of %d e-classes have no parent \
+                edges (their product is 1 and their max 0; expected for the root)"
+               i nd.Ir.context empty_classes classes)
+      | ( ("segment_softmax" | "segment_sum"), Ir.M_segments { empty_segments; seg_count; _ } )
         when empty_segments > 0 ->
           if nd.Ir.op = "segment_softmax" then
             add
@@ -180,7 +175,7 @@ let check ?root (ir : Ir.t) =
             add
               (D.info ~code:"GF005" (D.Tape_node i)
                  "`%s` at node %d (built in %s): %d of %d segments are empty (reduces to the \
-                  neutral element; expected for the root's parent list)"
+                  neutral element)"
                  nd.Ir.op i nd.Ir.context empty_segments seg_count)
       | _ -> ())
     done;

@@ -17,8 +17,9 @@
     - [GF004] warning: a domain-boundary op ([log]/[div]/[sqrt] family)
       whose operand interval admits values ≤ 0 — the value is clamped
       but the gradient can explode or go non-finite at the boundary
-    - [GF005] warning ([segment_softmax]) / info (other segment
-      reductions): reduction over provably empty segments *)
+    - [GF005] warning ([segment_softmax]) / info ([segment_sum], and
+      [propagate_step] e-classes without parent edges): reduction over
+      provably empty segments *)
 
 val check : ?root:int -> Ad.Ir.t -> Diagnostic.t list
 (** [root] is the loss node's IR index (see {!Ad.node_id}); defaults to

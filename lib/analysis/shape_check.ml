@@ -54,7 +54,7 @@ let check (ir : Ir.t) =
                     index_min index_max a.Ir.width;
                 sh a.Ir.batch count
             | _ -> recorded)
-        | ("segment_softmax" | "segment_sum" | "segment_prod" | "segment_max"), 1 -> (
+        | ("segment_softmax" | "segment_sum"), 1 -> (
             let a = arg 0 in
             match nd.Ir.meta with
             | Ir.M_segments { seg_count; seg_width; _ } ->
@@ -67,19 +67,20 @@ let check (ir : Ir.t) =
                 else if nd.Ir.op = "segment_softmax" then a
                 else sh a.Ir.batch seg_count
             | _ -> recorded)
-        | "override_columns", 1 -> (
-            let a = arg 0 in
-            (match nd.Ir.meta with
-            | Ir.M_columns pins ->
-                Array.iter
-                  (fun (col, _) ->
-                    if col < 0 || col >= a.Ir.width then
-                      errf ~code:"SC010"
-                        "`override_columns` at node %d: pinned column %d outside width %d" i col
-                        a.Ir.width)
-                  pins
-            | _ -> ());
-            a)
+        | "propagate_step", 2 -> (
+            let p = arg 0 and cp = arg 1 in
+            if p <> cp then
+              errf ~code:"SC001" "`propagate_step` at node %d: marginals %s vs cp %s" i (str p)
+                (str cp);
+            match nd.Ir.meta with
+            | Ir.M_propagation { nodes; _ } ->
+                if nodes <> p.Ir.width then
+                  errf ~code:"SC003"
+                    "`propagate_step` at node %d: structure covers %d e-nodes but the operand \
+                     is %s"
+                    i nodes (str p);
+                sh p.Ir.batch nodes
+            | _ -> recorded)
         | "slice_row", 1 -> (
             let a = arg 0 in
             (match nd.Ir.meta with

@@ -9,16 +9,18 @@
     before (or without) a forward pass.
 
     Codes (full table in DESIGN.md):
-    - [SC001] error: pointwise binary operands disagree
+    - [SC001] error: pointwise binary operands (or [propagate_step]'s
+      marginals and cp) disagree
     - [SC002] error: gather index out of the operand's width
-    - [SC003] error: segmentation width disagrees with the operand
+    - [SC003] error: segmentation (or [propagate_step] structure)
+      width disagrees with the operand
     - [SC004] error: linear/dot dimension mismatch
     - [SC005] error: [expm_trace] of a non-square matrix
     - [SC006] error: [matrix_of_entries] scatter target out of range
     - [SC007] warning: recorded shape differs from the inferred shape
       (op ran, but not with the semantics this checker assumes)
     - [SC008] error: operand id out of range (malformed IR)
-    - [SC010] error: row/column index out of the operand's shape
+    - [SC010] error: row index out of the operand's shape
 
     Poisoned nodes (those already reported) propagate their recorded
     shape so one defect yields one diagnostic, not a cascade. *)

@@ -16,7 +16,14 @@ module Ir = struct
         empty_segments : int;
         max_len : int;
       }
-    | M_columns of (int * float) array
+    | M_propagation of {
+        mix : Propagation.mix;
+        nodes : int;
+        classes : int;
+        edges : int;
+        root : int;
+        empty_classes : int;
+      }
     | M_row of int
     | M_width of int
     | M_matrix of { dim : int; class_min : int; class_max : int; col_max : int }
@@ -46,6 +53,7 @@ type payload =
   | P_segments of Segments.t  (* segment_* *)
   | P_coeffs of float array  (* dot_const *)
   | P_entries of { dim : int; entries : (int * int * int) array }  (* matrix_of_entries *)
+  | P_propagation of Propagation.t  (* propagate_step *)
 
 type v = {
   tp : tape;
@@ -218,8 +226,6 @@ let add_scalar k a =
   out.pull <- Some (fun () -> Tensor.add_inplace (grad_tensor a) (grad_tensor out));
   out
 
-let one_minus a = add_scalar 1.0 (neg a)
-
 let log_floor = 1e-12
 
 let log_safe a =
@@ -306,60 +312,35 @@ let segment_sum a seg =
         Tensor.add_inplace (grad_tensor a) spread);
   out
 
-let segment_prod a seg =
-  let tp = owner a in
+(* The interpreter allocates the output and the op-owned scratch (q and
+   the per-class argmax, read back by the pull) per node, then calls the
+   same kernels the plan replays over its arena. *)
+let propagate_step prop p ~cp =
+  let tp = owner p in
+  let x = p.value in
+  let s = Propagation.scratch prop ~batch:x.Tensor.batch in
+  let y = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
+  Propagation.forward_into prop s ~out:y ~p:x ~cp:cp.value;
+  let lens = prop.Propagation.parents.Segments.lens in
+  let meta =
+    Ir.M_propagation
+      {
+        mix = prop.Propagation.mix;
+        nodes = Propagation.nodes prop;
+        classes = Propagation.classes prop;
+        edges = Propagation.edges prop;
+        root = prop.Propagation.root;
+        empty_classes = Array.fold_left (fun k l -> if l = 0 then k + 1 else k) 0 lens;
+      }
+  in
   let out =
-    node ~op:"segment_prod" ~meta:(segments_meta seg) ~payload:(P_segments seg) ~args:[| a |] tp
-      (Segments.prod a.value seg) None
+    node ~op:"propagate_step" ~meta ~payload:(P_propagation prop) ~args:[| p; cp |] tp y None
   in
   out.pull <-
     Some
       (fun () ->
-        let others = Segments.prod_grad_scratch a.value seg in
-        let owner_of = Segments.seg_of_index seg in
-        let spread = Segments.gather (grad_tensor out) owner_of in
-        Tensor.add_inplace (grad_tensor a) (Tensor.mul spread others));
-  out
-
-let segment_max a seg =
-  let tp = owner a in
-  let y, argmax = Segments.max a.value seg in
-  let out = node ~op:"segment_max" ~meta:(segments_meta seg) ~payload:(P_segments seg) ~args:[| a |] tp y None in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        Array.iteri
-          (fun flat src_pos -> if src_pos >= 0 then gad.(src_pos) <- gad.(src_pos) +. gd.(flat))
-          argmax);
-  out
-
-let override_columns a pins =
-  let tp = owner a in
-  let y = Tensor.copy a.value in
-  List.iter
-    (fun (col, c) ->
-      for b = 0 to y.Tensor.batch - 1 do
-        Tensor.set y b col c
-      done)
-    pins;
-  let out =
-    node ~op:"override_columns" ~meta:(Ir.M_columns (Array.of_list pins)) ~args:[| a |]
-      tp y None
-  in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = Tensor.copy (grad_tensor out) in
-        List.iter
-          (fun (col, _) ->
-            for b = 0 to g.Tensor.batch - 1 do
-              Tensor.set g b col 0.0
-            done)
-          pins;
-        Tensor.add_inplace (grad_tensor a) g);
+        Propagation.backward_into prop s ~g:(grad_tensor out) ~p:x ~cp:cp.value
+          ~gp:(Some (grad_tensor p)) ~gcp:(Some (grad_tensor cp)));
   out
 
 let mean_rows a =

@@ -4,7 +4,7 @@
     (§3) needs gradients of a scalar loss — cost model plus NOTEARS
     acyclicity penalty — with respect to the free e-node logits θ,
     through segment softmax, the iterative probability propagation φ of
-    Eq. (5)–(7) (unrolled on the tape), MLP cost models, and the matrix
+    Eq. (5)–(7) (unrolled on the tape, one fused node per step), MLP cost models, and the matrix
     exponential of Eq. (8).
 
     Usage: allocate a {!tape}, lift inputs with {!const}/{!param}, build
@@ -39,7 +39,14 @@ module Ir : sig
         empty_segments : int;
         max_len : int;
       }
-    | M_columns of (int * float) array  (** [override_columns] pins *)
+    | M_propagation of {
+        mix : Propagation.mix;
+        nodes : int;
+        classes : int;
+        edges : int;
+        root : int;
+        empty_classes : int;  (** e-classes without parent edges *)
+      }  (** [propagate_step] structure summary *)
     | M_row of int  (** [slice_row] row index *)
     | M_width of int  (** [dot_const] coefficient count *)
     | M_matrix of { dim : int; class_min : int; class_max : int; col_max : int }
@@ -73,6 +80,7 @@ type payload =
   | P_coeffs of float array  (** [dot_const] coefficients *)
   | P_entries of { dim : int; entries : (int * int * int) array }
       (** [matrix_of_entries] scatter targets *)
+  | P_propagation of Propagation.t  (** [propagate_step] structure *)
 
 type tape
 type v
@@ -138,9 +146,6 @@ val mul : v -> v -> v
 val neg : v -> v
 val scale : float -> v -> v
 val add_scalar : float -> v -> v
-val one_minus : v -> v
-(** [one_minus x] is [1 - x] — the "not chosen" probability of Eq. (6). *)
-
 val relu : v -> v
 
 val log_safe : v -> v
@@ -156,15 +161,13 @@ val segment_softmax : v -> Segments.t -> v
 (** Per-segment softmax (Eq. 3b): θ logits → conditional probabilities. *)
 
 val segment_sum : v -> Segments.t -> v
-val segment_prod : v -> Segments.t -> v
-val segment_max : v -> Segments.t -> v
-(** Adjoint flows to each segment's argmax only (subgradient), matching
-    PyTorch [max] semantics used for the fully-correlated assumption of
-    Eq. (7). *)
 
-val override_columns : v -> (int * float) list -> v
-(** Pin given columns to constants across the batch (no gradient through
-    them) — used to fix the root e-class probability at 1. *)
+val propagate_step : Propagation.t -> v -> cp:v -> v
+(** [propagate_step prop p ~cp] is one step of the unrolled marginal
+    propagation of Eq. (5)–(7), (B,N) → (B,N): class probabilities from
+    the parents' marginals [p] under [prop]'s mix, the root pinned at 1,
+    times [cp]. One tape node; its kernels and its subgradient at max
+    ties are documented in {!Propagation}. *)
 
 val mean_rows : v -> v
 (** (B,N) → (1,N) batch mean — the batched matrix-exponential

@@ -13,9 +13,9 @@
 
 let op_supported = function
   | "const" | "param" | "add" | "sub" | "mul" | "neg" | "scale" | "add_scalar"
-  | "log_safe" | "relu" | "gather" | "segment_softmax" | "segment_sum" | "segment_prod"
-  | "segment_max" | "override_columns" | "mean_rows" | "slice_row" | "sum_width"
-  | "sum_all" | "dot_const" | "linear" | "matrix_of_entries" | "expm_trace" ->
+  | "log_safe" | "relu" | "gather" | "segment_softmax" | "segment_sum" | "propagate_step"
+  | "mean_rows" | "slice_row" | "sum_width" | "sum_all" | "dot_const" | "linear"
+  | "matrix_of_entries" | "expm_trace" ->
       true
   | _ -> false
 
@@ -43,8 +43,8 @@ let capture tp ~root =
 let backward_reads_arg op k =
   match op, k with
   | "mul", _ -> true
-  | ("log_safe" | "relu" | "segment_prod"), 0 -> true
-  | "linear", (0 | 1) -> true
+  | ("log_safe" | "relu"), 0 -> true
+  | ("linear" | "propagate_step"), (0 | 1) -> true
   | _ -> false
 
 let backward_reads_self op = String.equal op "segment_softmax"
@@ -78,9 +78,7 @@ let meta_equal i (m1 : Ad.Ir.meta) (m2 : Ad.Ir.meta) =
     | ( M_segments { seg_count = s1; seg_width = w1; empty_segments = e1; max_len = m1 },
         M_segments { seg_count = s2; seg_width = w2; empty_segments = e2; max_len = m2 } ) ->
         s1 = s2 && w1 = w2 && e1 = e2 && m1 = m2
-    | M_columns a, M_columns b ->
-        Array.length a = Array.length b
-        && Array.for_all2 (fun (c1, x1) (c2, x2) -> c1 = c2 && float_bits_equal x1 x2) a b
+    | M_propagation _, M_propagation _ -> m1 = m2
     | M_row a, M_row b -> a = b
     | M_width a, M_width b -> a = b
     | ( M_matrix { dim = d1; class_min = cl1; class_max = ch1; col_max = cm1 },
@@ -102,6 +100,7 @@ let payload_equal i (p1 : Ad.payload) (p2 : Ad.payload) =
         a == b || (Array.length a = Array.length b && Array.for_all2 float_bits_equal a b)
     | P_entries { dim = d1; entries = e1 }, P_entries { dim = d2; entries = e2 } ->
         d1 = d2 && (e1 == e2 || e1 = e2)
+    | P_propagation a, P_propagation b -> a == b || a = b
     | _ -> false
   in
   if not ok then failf "node %d: runtime payload changed between captures" i
@@ -344,6 +343,11 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | Ad.P_coeffs u -> u
       | _ -> failf "node %d (%s): coefficient payload missing" i ir.(i).op
     in
+    let prop_of i =
+      match cap.pay.(i) with
+      | Ad.P_propagation p -> p
+      | _ -> failf "node %d (%s): propagation payload missing" i ir.(i).op
+    in
     let entries_of i =
       match cap.pay.(i) with
       | Ad.P_entries { dim; entries } -> (dim, entries)
@@ -355,7 +359,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | _ -> failf "node %d (%s): scalar metadata missing" i ir.(i).op
     in
     (* per-node state shared between the forward and backward emitters *)
-    let argmaxes = Array.make n None in
+    let prop_scratch = Array.make n None in
     let expm_es = Array.make n None in
     (* chain jam stages: tag 0 = neg, 1 = scale, 2 = add_scalar *)
     let stage_tag i =
@@ -409,31 +413,12 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | "segment_sum" ->
           let o = v i and x = v (a 0) and seg = seg_of i in
           Some (fun () -> Segments.sum_into ~out:o x seg)
-      | "segment_prod" ->
-          let o = v i and x = v (a 0) and seg = seg_of i in
-          Some (fun () -> Segments.prod_into ~out:o x seg)
-      | "segment_max" ->
-          let o = v i and x = v (a 0) and seg = seg_of i in
-          let arg = Array.make (numel_of i) (-1) in
-          argmaxes.(i) <- Some arg;
-          Some (fun () -> Segments.max_into ~out:o ~arg x seg)
-      | "override_columns" ->
-          let o = v i and x = v (a 0) in
-          let pins =
-            match nd.meta with
-            | Ad.Ir.M_columns pins -> pins
-            | _ -> failf "node %d: column metadata missing" i
-          in
-          let od = data o and w = o.Tensor.width and bt = o.Tensor.batch in
-          Some
-            (fun () ->
-              Tensor.copy_into ~out:o x;
-              Array.iter
-                (fun (col, c) ->
-                  for b = 0 to bt - 1 do
-                    od.((b * w) + col) <- c
-                  done)
-                pins)
+      | "propagate_step" ->
+          let o = v i and x = v (a 0) and c = v (a 1) and prop = prop_of i in
+          let sc = Propagation.scratch prop ~batch:x.Tensor.batch in
+          scratch_floats := !scratch_floats + Propagation.scratch_words sc;
+          prop_scratch.(i) <- Some sc;
+          Some (fun () -> Propagation.forward_into prop sc ~out:o ~p:x ~cp:c)
       | "mean_rows" ->
           let o = v i and x = v (a 0) in
           let od = data o and xd = data x in
@@ -706,71 +691,17 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
                         done
                       done))
           | None -> None)
-      | "segment_prod" -> (
-          match gb 0 with
-          | Some ga ->
-              let seg = seg_of j in
-              let owner = Segments.seg_of_index seg in
-              let x = v (a 0) in
-              let others = scratch ~batch:x.Tensor.batch ~width:x.Tensor.width in
-              let gad = data ga and othd = data others in
-              let w = seg.Segments.width and nsegs = Segments.count seg in
-              Some
-                (fun () ->
-                  Segments.prod_grad_scratch_into ~out:others x seg;
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) x.Tensor.batch
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w and gbase = b * nsegs in
-                        for p = 0 to w - 1 do
-                          Array.unsafe_set gad (base + p)
-                            (Array.unsafe_get gad (base + p)
-                            +. Array.unsafe_get gjd (gbase + Array.unsafe_get owner p)
-                               *. Array.unsafe_get othd (base + p))
-                        done
-                      done))
-          | None -> None)
-      | "segment_max" -> (
-          match gb 0 with
-          | Some ga ->
-              let arg =
-                match argmaxes.(j) with
-                | Some arr -> arr
-                | None -> failf "internal: node %d argmax scratch missing" j
-              in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  Array.iteri
-                    (fun flat src_pos ->
-                      if src_pos >= 0 then gad.(src_pos) <- gad.(src_pos) +. gjd.(flat))
-                    arg)
-          | None -> None)
-      | "override_columns" -> (
-          match gb 0 with
-          | Some ga ->
-              let w = (shape_of j).Ad.Ir.width and bt = (shape_of j).Ad.Ir.batch in
-              let pinned = Array.make w false in
-              (match nd.meta with
-              | Ad.Ir.M_columns pins -> Array.iter (fun (col, _) -> pinned.(col) <- true) pins
-              | _ -> failf "node %d: column metadata missing" j);
-              let gad = data ga in
-              Some
-                (fun () ->
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) bt
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w in
-                        for p = 0 to w - 1 do
-                          let gv =
-                            if Array.unsafe_get pinned p then 0.0
-                            else Array.unsafe_get gjd (base + p)
-                          in
-                          Array.unsafe_set gad (base + p)
-                            (Array.unsafe_get gad (base + p) +. gv)
-                        done
-                      done))
-          | None -> None)
+      | "propagate_step" -> (
+          let sc =
+            match prop_scratch.(j) with
+            | Some sc -> sc
+            | None -> failf "internal: node %d propagation scratch missing" j
+          in
+          let prop = prop_of j and x = v (a 0) and c = v (a 1) in
+          match gb 0, gb 1 with
+          | None, None -> None
+          | gp, gcp ->
+              Some (fun () -> Propagation.backward_into prop sc ~g:gj ~p:x ~cp:c ~gp ~gcp))
       | "mean_rows" -> (
           match gb 0 with
           | Some ga ->

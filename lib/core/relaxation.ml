@@ -86,28 +86,23 @@ type forward = {
   loss : Ad.v;
 }
 
-(* One parallel-schedule update of the class probabilities q from the
-   node probabilities p (§3.3): under independence Eq. (6), under full
-   correlation Eq. (7), hybrid averages the two. The root is pinned at
-   probability 1. *)
-let step_q config g tape p =
-  let parent_p = Ad.gather p g.Egraph.parent_edge_node in
-  let seg = g.Egraph.parent_seg in
-  let q =
+(* The parallel-schedule update of §3.3 as one fused op per step: class
+   probabilities q from the parents' marginals under independence
+   Eq. (6), full correlation Eq. (7), or their mean (hybrid), the root
+   pinned at probability 1, then p = cp ⊙ q[class]. *)
+let propagation config g =
+  let mix =
     match config.Smoothe_config.assumption with
-    | Smoothe_config.Independent ->
-        Ad.one_minus (Ad.segment_prod (Ad.one_minus parent_p) seg)
-    | Smoothe_config.Correlated -> Ad.segment_max parent_p seg
-    | Smoothe_config.Hybrid ->
-        let ind = Ad.one_minus (Ad.segment_prod (Ad.one_minus parent_p) seg) in
-        let cor = Ad.segment_max parent_p seg in
-        Ad.scale 0.5 (Ad.add ind cor)
+    | Smoothe_config.Independent -> Propagation.Independent
+    | Smoothe_config.Correlated -> Propagation.Correlated
+    | Smoothe_config.Hybrid -> Propagation.Hybrid
   in
-  ignore tape;
-  Ad.override_columns q [ (g.Egraph.root, 1.0) ]
+  Propagation.make ~mix ~edge_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
+    ~node_class:g.Egraph.node_class ~root:g.Egraph.root
 
 let propagate compiled ~config tape cp =
   let g = compiled.g in
+  let prop = propagation config g in
   let batch = (Ad.value cp).Tensor.batch in
   let m = Egraph.num_classes g in
   (* q⁰: root = 1, everything else 0. *)
@@ -115,11 +110,9 @@ let propagate compiled ~config tape cp =
   for b = 0 to batch - 1 do
     Tensor.set q0 b g.Egraph.root 1.0
   done;
-  let q = ref (Ad.const tape q0) in
-  let p = ref (Ad.mul cp (Ad.gather !q g.Egraph.node_class)) in
+  let p = ref (Ad.mul cp (Ad.gather (Ad.const tape q0) g.Egraph.node_class)) in
   for _ = 1 to compiled.prop_iters do
-    q := step_q config g tape !p;
-    p := Ad.mul cp (Ad.gather !q g.Egraph.node_class)
+    p := Ad.propagate_step prop !p ~cp
   done;
   !p
 

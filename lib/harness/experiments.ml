@@ -937,7 +937,7 @@ let replay bank =
       d.(i) <- d.(i) +. (0.02 *. Rng.gaussian rng)
     done
   in
-  Report.set_columns [ 18; 6; 11; 11; 9; 13; 13; 10 ];
+  Report.set_columns [ 18; 6; 11; 11; 9; 13; 13; 15; 10 ];
   Report.row
     [
       "instance";
@@ -947,6 +947,7 @@ let replay bank =
       "speedup";
       "interp KiB/it";
       "replay KiB/it";
+      "replay words/it";
       "identical";
     ];
   Report.rule ();
@@ -1042,6 +1043,18 @@ let replay bank =
               done;
               replay_bytes := Metrics.counter_value "tensor.bytes_allocated"))
     in
+    (* minor-heap words per replayed iteration with the sink off, as an
+       extraction runs by default (the sink's counters allocate) *)
+    let replay_words =
+      Obs.set_sink Obs.Disabled;
+      Fun.protect ~finally:Obs.enable (fun () ->
+          let w0 = Gc.minor_words () in
+          for _ = 1 to iters do
+            Plan.run_forward plan;
+            Plan.run_backward plan
+          done;
+          (Gc.minor_words () -. w0) /. float_of_int iters)
+    in
     if !replay_bytes <> 0.0 then
       failwith
         (Printf.sprintf "replay bench: %s replayed iterations allocated %.0f bytes" name
@@ -1057,6 +1070,7 @@ let replay bank =
         Printf.sprintf "%.2fx" (interp_s /. replay_s);
         Printf.sprintf "%.1f" (!interp_bytes /. 1024.0 /. float_of_int iters);
         Printf.sprintf "%.1f" (!replay_bytes /. 1024.0 /. float_of_int iters);
+        Printf.sprintf "%.0f" replay_words;
         (if !identical then "yes" else "NO");
       ];
     (name, st)

@@ -39,7 +39,13 @@ let seg_of_index seg =
           seg.owners <- Some owner;
           owner)
 
-let reader = Tensor.Backend.reader
+(* Element reads: the Scalar backend's boxed indirect reader, or a
+   plain load. Inlined into each kernel's loop, so the Vectorized path
+   boxes no float. *)
+let[@inline] rd scalar a i =
+  if scalar then Tensor.Backend.scalar_read a i else Array.unsafe_get a i
+
+let scalar () = Tensor.Backend.current () = Tensor.Backend.Scalar
 
 (* Segment-kernel launch counter: one bump per entry point, labelled by
    op, so runs can report how many segment ops an extraction issued. *)
@@ -85,7 +91,7 @@ let softmax_into ~out x seg =
   check_out "softmax_into" out ~batch:x.Tensor.batch ~width:x.Tensor.width;
   count_op "softmax";
   let src = Tensor.unsafe_data x and dst = Tensor.unsafe_data out in
-  let get = reader () in
+  let scalar = scalar () in
   let w = seg.width in
   by_rows w x.Tensor.batch (fun blo bhi ->
       for b = blo to bhi - 1 do
@@ -95,12 +101,12 @@ let softmax_into ~out x seg =
           if len > 0 then begin
             let m = ref neg_infinity in
             for i = start to start + len - 1 do
-              let v = get src i in
+              let v = rd scalar src i in
               if v > !m then m := v
             done;
             let z = ref 0.0 in
             for i = start to start + len - 1 do
-              let e = Stdlib.exp (get src i -. !m) in
+              let e = Stdlib.exp (rd scalar src i -. !m) in
               dst.(i) <- e;
               z := !z +. e
             done;
@@ -123,7 +129,7 @@ let sum_into ~out x seg =
   check_out "sum_into" out ~batch:x.Tensor.batch ~width:nsegs;
   count_op "sum";
   let src = Tensor.unsafe_data x and dst = Tensor.unsafe_data out in
-  let get = reader () in
+  let scalar = scalar () in
   let w = seg.width in
   by_rows w x.Tensor.batch (fun blo bhi ->
       for b = blo to bhi - 1 do
@@ -132,7 +138,7 @@ let sum_into ~out x seg =
           let start = base + seg.starts.(s) and len = seg.lens.(s) in
           let acc = ref 0.0 in
           for i = start to start + len - 1 do
-            acc := !acc +. get src i
+            acc := !acc +. rd scalar src i
           done;
           dst.((b * nsegs) + s) <- !acc
         done
@@ -142,111 +148,6 @@ let sum x seg =
   let out = Tensor.create ~batch:x.Tensor.batch ~width:(count seg) in
   sum_into ~out x seg;
   out
-
-let prod_into ~out x seg =
-  check_width "prod" seg x;
-  let nsegs = count seg in
-  check_out "prod_into" out ~batch:x.Tensor.batch ~width:nsegs;
-  count_op "prod";
-  let src = Tensor.unsafe_data x and dst = Tensor.unsafe_data out in
-  let get = reader () in
-  let w = seg.width in
-  by_rows w x.Tensor.batch (fun blo bhi ->
-      for b = blo to bhi - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let start = base + seg.starts.(s) and len = seg.lens.(s) in
-          let acc = ref 1.0 in
-          for i = start to start + len - 1 do
-            acc := !acc *. get src i
-          done;
-          dst.((b * nsegs) + s) <- !acc
-        done
-      done)
-
-let prod x seg =
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:(count seg) in
-  prod_into ~out x seg;
-  out
-
-(* product-of-others via prefix/suffix sweeps: robust when a segment
-   contains zeros, where dividing the full product back out would fail.
-   Zero-length segments cover no positions, so the total-coverage
-   argument above still holds. *)
-let prod_grad_scratch_into ~out x seg =
-  check_width "prod_grad_scratch" seg x;
-  check_out "prod_grad_scratch_into" out ~batch:x.Tensor.batch ~width:x.Tensor.width;
-  count_op "prod_grad_scratch";
-  let src = Tensor.unsafe_data x and dst = Tensor.unsafe_data out in
-  let get = reader () in
-  let w = seg.width in
-  by_rows w x.Tensor.batch (fun blo bhi ->
-      for b = blo to bhi - 1 do
-        let base = b * w in
-        for s = 0 to count seg - 1 do
-          let start = base + seg.starts.(s) and len = seg.lens.(s) in
-          if len > 0 then begin
-            (* forward pass: dst.(i) holds the product of elements before i *)
-            let acc = ref 1.0 in
-            for i = start to start + len - 1 do
-              dst.(i) <- !acc;
-              acc := !acc *. get src i
-            done;
-            (* backward pass: multiply in the product of elements after i *)
-            let acc = ref 1.0 in
-            for i = start + len - 1 downto start do
-              dst.(i) <- dst.(i) *. !acc;
-              acc := !acc *. get src i
-            done
-          end
-        done
-      done)
-
-let prod_grad_scratch x seg =
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
-  prod_grad_scratch_into ~out x seg;
-  out
-
-let max_into ~out ~arg x seg =
-  check_width "max" seg x;
-  let nsegs = count seg in
-  check_out "max_into" out ~batch:x.Tensor.batch ~width:nsegs;
-  if Array.length arg <> x.Tensor.batch * nsegs then
-    invalid_arg "Segments.max_into: argmax array length mismatch";
-  count_op "max";
-  let src = Tensor.unsafe_data x and dst = Tensor.unsafe_data out in
-  let get = reader () in
-  let w = seg.width in
-  by_rows w x.Tensor.batch (fun blo bhi ->
-      for b = blo to bhi - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let start = base + seg.starts.(s) and len = seg.lens.(s) in
-          if len = 0 then begin
-            dst.((b * nsegs) + s) <- 0.0;
-            arg.((b * nsegs) + s) <- -1
-          end
-          else begin
-            let best = ref (get src start) and besti = ref start in
-            for i = start + 1 to start + len - 1 do
-              let v = get src i in
-              if v > !best then begin
-                best := v;
-                besti := i
-              end
-            done;
-            dst.((b * nsegs) + s) <- !best;
-            arg.((b * nsegs) + s) <- !besti
-          end
-        done
-      done)
-
-let max x seg =
-  let nsegs = count seg in
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:nsegs in
-  let arg = Array.make (x.Tensor.batch * nsegs) (-1) in
-  max_into ~out ~arg x seg;
-  out, arg
 
 let gather_into ~out src idx =
   let n = Array.length idx in
@@ -283,7 +184,7 @@ let scatter_add ~into idx src =
   if src.Tensor.batch <> into.Tensor.batch then
     invalid_arg "Segments.scatter_add: batch mismatch";
   let s = Tensor.unsafe_data src and d = Tensor.unsafe_data into in
-  let get = reader () in
+  let scalar = scalar () in
   let m = into.Tensor.width in
   (* rows write disjoint destination slices even when [idx] repeats an
      index: collisions stay within a row, in sequential order *)
@@ -292,6 +193,6 @@ let scatter_add ~into idx src =
         let sbase = b * n and dbase = b * m in
         for e = 0 to n - 1 do
           let j = dbase + idx.(e) in
-          d.(j) <- d.(j) +. get s (sbase + e)
+          d.(j) <- d.(j) +. rd scalar s (sbase + e)
         done
       done)

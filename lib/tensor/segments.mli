@@ -43,21 +43,6 @@ val softmax : Tensor.t -> t -> Tensor.t
 val sum : Tensor.t -> t -> Tensor.t
 (** Per-segment sums. *)
 
-val prod : Tensor.t -> t -> Tensor.t
-(** Per-segment products; an empty segment yields 1 (the neutral
-    element), which is exactly what Eq. (6) needs for e-classes with no
-    parents. *)
-
-val prod_grad_scratch : Tensor.t -> t -> Tensor.t
-(** For each element, the product of the *other* elements in its segment
-    (prefix×suffix trick, zero-safe) — the partial derivative of
-    {!prod} with respect to that element. Shape (B, width). *)
-
-val max : Tensor.t -> t -> Tensor.t * int array
-(** Per-segment maxima and the flat argmax positions (batch-major,
-    length B × count; -1 for empty segments). An empty segment yields 0
-    — Eq. (7) over no parents means "never chosen". *)
-
 val gather : Tensor.t -> int array -> Tensor.t
 (** [gather src idx] with [src : (B, M)] returns [(B, |idx|)] where
     output column [e] reads source column [idx.(e)]. *)
@@ -78,11 +63,5 @@ val scatter_add : into:Tensor.t -> int array -> Tensor.t -> unit
 
 val softmax_into : out:Tensor.t -> Tensor.t -> t -> unit
 val sum_into : out:Tensor.t -> Tensor.t -> t -> unit
-val prod_into : out:Tensor.t -> Tensor.t -> t -> unit
-val prod_grad_scratch_into : out:Tensor.t -> Tensor.t -> t -> unit
-
-val max_into : out:Tensor.t -> arg:int array -> Tensor.t -> t -> unit
-(** [arg] must have length B × count; empty segments store 0 in [out]
-    and -1 in [arg]. *)
 
 val gather_into : out:Tensor.t -> Tensor.t -> int array -> unit

@@ -98,59 +98,125 @@ let check_same_shape name a b =
       (Printf.sprintf "Tensor.%s: shape mismatch (%d,%d) vs (%d,%d)" name a.batch a.width b.batch
          b.width)
 
-(* The Scalar backend goes element-by-element through a closure, with
-   checked accesses and a boxed accumulator — an honest model of the
+(* Elementwise kernels. Each [_into] kernel is one direct loop over flat
+   arrays with the op chosen by a tag inside the loop, not a closure
+   called per element, so the Vectorized branch boxes no float; the
+   allocating kernels are [create] plus the matching [_into] call. The
+   Scalar backend goes element-by-element through an indirect call,
+   with checked accesses and boxed values — an honest model of the
    paper's unvectorised CPU baseline, computing identical results; it
    stays sequential for the same reason. The Vectorized branches run
    under [Parallel.chunks]: elementwise bodies write disjoint indices,
-   so any chunk schedule is bit-identical to the sequential loop. *)
+   so any chunk schedule is bit-identical to the sequential loop. None
+   of the [_into] kernels bump [tensor.bytes_allocated]. *)
+
+let like a = create ~batch:a.batch ~width:a.width
+
+let fresh a fill =
+  let out = like a in
+  fill out;
+  out
+
+type binop = Add | Sub | Mul
+
+let[@inline] binop op x y = match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y
+
+let binop_into name op ~out a b =
+  check_same_shape name a b;
+  check_same_shape name out a;
+  let n = numel a and da = a.data and db = b.data and dd = out.data in
+  match Backend.current () with
+  | Backend.Vectorized ->
+      Parallel.chunks n (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (binop op (Array.unsafe_get da i) (Array.unsafe_get db i))
+          done)
+  | Backend.Scalar ->
+      let f = Sys.opaque_identity (fun x y -> binop op x y) in
+      for i = 0 to n - 1 do
+        let x = Backend.scalar_read da i in
+        let y = Backend.scalar_read db i in
+        Array.set dd i (f x y)
+      done
+
+type unop = Neg | Scale | Shift | Relu
+
+let[@inline] unop op k x =
+  match op with
+  | Neg -> -.x
+  | Scale -> k *. x
+  | Shift -> k +. x
+  | Relu -> if x > 0.0 then x else 0.0
+
+let unop_into name op k ~out a =
+  check_same_shape name out a;
+  let n = numel a and da = a.data and dd = out.data in
+  match Backend.current () with
+  | Backend.Vectorized ->
+      Parallel.chunks n (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (unop op k (Array.unsafe_get da i))
+          done)
+  | Backend.Scalar ->
+      let f = Sys.opaque_identity (fun x -> unop op k x) in
+      for i = 0 to n - 1 do
+        Array.set dd i (f (Backend.scalar_read da i))
+      done
+
+let add_into ~out a b = binop_into "add_into" Add ~out a b
+let sub_into ~out a b = binop_into "sub_into" Sub ~out a b
+let mul_into ~out a b = binop_into "mul_into" Mul ~out a b
+let neg_into ~out a = unop_into "neg_into" Neg 0.0 ~out a
+let scale_into ~out k a = unop_into "scale_into" Scale k ~out a
+let add_scalar_into ~out k a = unop_into "add_scalar_into" Shift k ~out a
+let relu_into ~out a = unop_into "relu_into" Relu 0.0 ~out a
+
+let add a b = fresh a (fun out -> add_into ~out a b)
+let sub a b = fresh a (fun out -> sub_into ~out a b)
+let mul a b = fresh a (fun out -> mul_into ~out a b)
+let neg a = fresh a (fun out -> neg_into ~out a)
+let scale k a = fresh a (fun out -> scale_into ~out k a)
+let add_scalar k a = fresh a (fun out -> add_scalar_into ~out k a)
+let relu a = fresh a (fun out -> relu_into ~out a)
+
+(* General maps call [f] per element (boxing on the Vectorized path
+   too); nothing on the replayed path uses them. *)
+let map f a =
+  let out = like a in
+  (match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (f (Array.unsafe_get da i))
+          done)
+  | Backend.Scalar ->
+      for i = 0 to numel a - 1 do
+        let x = Backend.scalar_read a.data i in
+        Array.set out.data i ((Sys.opaque_identity f) x)
+      done);
+  out
+
 let map2_named name f a b =
   check_same_shape name a b;
-  let n = numel a in
-  count_alloc n;
-  let out = { data = Array.make n 0.0; batch = a.batch; width = a.width } in
+  let out = like a in
   (match Backend.current () with
   | Backend.Vectorized ->
       let da = a.data and db = b.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
+      Parallel.chunks (numel a) (fun lo hi ->
           for i = lo to hi - 1 do
             Array.unsafe_set dd i (f (Array.unsafe_get da i) (Array.unsafe_get db i))
           done)
   | Backend.Scalar ->
-      for i = 0 to n - 1 do
+      for i = 0 to numel a - 1 do
         let x = Backend.scalar_read a.data i in
         let y = Backend.scalar_read b.data i in
         Array.set out.data i ((Sys.opaque_identity f) x y)
       done);
   out
 
-let map f a =
-  let n = numel a in
-  count_alloc n;
-  let out = { data = Array.make n 0.0; batch = a.batch; width = a.width } in
-  (match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i))
-          done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x)
-      done);
-  out
-
 let map2 f a b = map2_named "map2" f a b
-let add a b = map2_named "add" ( +. ) a b
-let sub a b = map2_named "sub" ( -. ) a b
-let mul a b = map2_named "mul" ( *. ) a b
 let div a b = map2_named "div" ( /. ) a b
-let neg a = map (fun x -> -.x) a
-let scale k a = map (fun x -> k *. x) a
-let add_scalar k a = map (fun x -> k +. x) a
-let relu a = map (fun x -> if x > 0.0 then x else 0.0) a
 let exp a = map Stdlib.exp a
 
 let log_floor = 1e-30
@@ -265,116 +331,9 @@ let mean_rows t =
   done;
   out
 
-let matmul_nt a b =
-  if a.width <> b.width then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_nt: inner dims differ (%d vs %d)" a.width b.width);
-  let p = a.batch and q = b.batch and n = a.width in
-  let out = create ~batch:p ~width:q in
-  (match Backend.current () with
-  | Backend.Vectorized ->
-      (* chunk over output rows: each writes its own slice, and the
-         per-row accumulation order never changes *)
-      let row_cost = Stdlib.max 1 (q * n) in
-      Parallel.chunks
-        ~grain:(Stdlib.max 1 (Parallel.default_grain / row_cost))
-        ~cost:row_cost p
-        (fun ilo ihi ->
-          for i = ilo to ihi - 1 do
-            let abase = i * n in
-            for j = 0 to q - 1 do
-              let bbase = j * n in
-              let acc = ref 0.0 in
-              for k = 0 to n - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get a.data (abase + k) *. Array.unsafe_get b.data (bbase + k))
-              done;
-              out.data.((i * q) + j) <- !acc
-            done
-          done)
-  | Backend.Scalar ->
-      let read = Backend.scalar_read in
-      let dot_row i j =
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (read a.data ((i * n) + k) *. read b.data ((j * n) + k))
-        done;
-        !acc
-      in
-      for i = 0 to p - 1 do
-        for j = 0 to q - 1 do
-          Array.set out.data ((i * q) + j) (dot_row i j)
-        done
-      done);
-  out
-
-let transpose t =
-  let out = create ~batch:t.width ~width:t.batch in
-  for b = 0 to t.batch - 1 do
-    for i = 0 to t.width - 1 do
-      out.data.((i * t.batch) + b) <- t.data.((b * t.width) + i)
-    done
-  done;
-  out
-
-let matmul a b = matmul_nt a (transpose b)
-
-(* ---- Preallocated (_into) kernels ---------------------------------
-
-   The plan replay engine (lib/autodiff/plan) re-runs a captured op
-   graph with zero per-iteration tensor allocation. These kernels
-   write into caller-owned output tensors and reproduce the allocating
-   kernels' arithmetic exactly — same expression trees, same
-   accumulation order, both backends — so a replayed iteration is
-   bit-identical to the interpreted one. None of them bump
-   [tensor.bytes_allocated]. *)
-
-let map_into_named name f ~out a =
-  check_same_shape name out a;
-  let n = numel a in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i))
-          done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x)
-      done
-
-let map2_into_named name f ~out a b =
-  check_same_shape name a b;
-  check_same_shape name out a;
-  let n = numel a in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and db = b.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i) (Array.unsafe_get db i))
-          done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        let y = Backend.scalar_read b.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x y)
-      done
-
 let copy_into ~out src =
   check_same_shape "copy_into" out src;
   Array.blit src.data 0 out.data 0 (numel src)
-
-let add_into ~out a b = map2_into_named "add_into" ( +. ) ~out a b
-let sub_into ~out a b = map2_into_named "sub_into" ( -. ) ~out a b
-let mul_into ~out a b = map2_into_named "mul_into" ( *. ) ~out a b
-let neg_into ~out a = map_into_named "neg_into" (fun x -> -.x) ~out a
-let scale_into ~out k a = map_into_named "scale_into" (fun x -> k *. x) ~out a
-let add_scalar_into ~out k a = map_into_named "add_scalar_into" (fun x -> k +. x) ~out a
-let relu_into ~out a = map_into_named "relu_into" (fun x -> if x > 0.0 then x else 0.0) ~out a
 
 let transpose_into ~out t =
   if out.batch <> t.width || out.width <> t.batch then
@@ -433,6 +392,21 @@ let matmul_nt_into ~out a b =
           Array.set out.data ((i * q) + j) (dot_row i j)
         done
       done
+
+let matmul_nt a b =
+  if a.width <> b.width then
+    invalid_arg
+      (Printf.sprintf "Tensor.matmul_nt: inner dims differ (%d vs %d)" a.width b.width);
+  let out = create ~batch:a.batch ~width:b.batch in
+  matmul_nt_into ~out a b;
+  out
+
+let transpose t =
+  let out = create ~batch:t.width ~width:t.batch in
+  transpose_into ~out t;
+  out
+
+let matmul a b = matmul_nt a (transpose b)
 
 let bits_equal a b =
   a.batch = b.batch && a.width = b.width
@@ -533,7 +507,9 @@ module Lu = struct
     for i = 0 to d - 1 do
       Array.blit b.data (f.perm.(i) * cols) x.data (i * cols) cols
     done;
-    let read = Backend.reader () in
+    (* direct reads on the Vectorized path: no closure, no boxing *)
+    let scalar = Backend.current () = Backend.Scalar in
+    let[@inline] read a i = if scalar then Backend.scalar_read a i else Array.unsafe_get a i in
     for i = 1 to d - 1 do
       for k = 0 to i - 1 do
         let lik = m.((i * d) + k) in

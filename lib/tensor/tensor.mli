@@ -76,7 +76,10 @@ val unsafe_data : t -> float array
 
 (** {1 Elementwise kernels}
 
-    Binary kernels require operands of identical shape. *)
+    Binary kernels require operands of identical shape. [add], [sub],
+    [mul], [neg], [scale], [add_scalar] and [relu] allocate their
+    output and run the matching [_into] kernel below; [map] and [map2]
+    call their function once per element. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -105,10 +108,11 @@ val scale_inplace : float -> t -> unit
 (** {1 Preallocated kernels}
 
     [_into] variants of the allocating kernels above: they write into a
-    caller-owned output tensor and never allocate, reproducing the
-    allocating kernels' arithmetic bit-for-bit (same expression trees,
-    same accumulation order, both backends). The plan replay engine is
-    built on these. Outputs may alias inputs for the elementwise
+    caller-owned output tensor and never allocate — no tensor, and on
+    the Vectorized backend no boxed float either (direct loops, no
+    closure per element). The allocating elementwise kernels, [transpose]
+    and [matmul_nt] are built on them, so both compute the same bits.
+    The plan replay engine is built on these. Outputs may alias inputs for the elementwise
     kernels; {!transpose_into} and {!matmul_nt_into} reject aliased
     outputs. All raise [Invalid_argument] on shape mismatch. *)
 

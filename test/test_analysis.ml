@@ -195,6 +195,35 @@ let forward_ir g =
   let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
   (Ad.ir fwd.Relaxation.tape, Ad.node_id fwd.Relaxation.loss)
 
+let test_shape_propagate_step () =
+  let meta nodes =
+    Ad.Ir.M_propagation
+      { mix = Propagation.Hybrid; nodes; classes = 3; edges = 4; root = 0; empty_classes = 1 }
+  in
+  let ir =
+    [|
+      ir_node "param" [||] (sh 2 5);
+      ir_node "param" [||] (sh 2 4);
+      ir_node "propagate_step" [| 0; 1 |] ~meta:(meta 5) (sh 2 5);
+      ir_node "propagate_step" [| 0; 0 |] ~meta:(meta 6) (sh 2 5);
+    |]
+  in
+  let ds = Shape_check.check ir in
+  Alcotest.(check bool) "marginals vs cp is SC001" true (has_code "SC001" ds);
+  Alcotest.(check bool) "structure width is SC003" true (has_code "SC003" ds);
+  (* a real tape: the root's empty parent list is an info, never a
+     warning *)
+  let g = Fig1.egraph () in
+  let ir, root = forward_ir g in
+  let gf = Grad_flow.check ~root ir in
+  Alcotest.(check bool) "empty parent lists are GF005 infos" true
+    (List.exists
+       (fun d ->
+         d.Diagnostic.code = "GF005"
+         && d.Diagnostic.severity = Diagnostic.Info
+         && contains d.Diagnostic.message "propagate_step")
+       gf)
+
 (* every real forward tape must satisfy its own shape abstraction *)
 let shape_check_real_tapes =
   qtest ~count:40 "real forward tapes shape-check clean"
@@ -286,6 +315,7 @@ let () =
           Alcotest.test_case "bad operand id" `Quick test_shape_bad_operand_id;
           Alcotest.test_case "gather and dot_const metadata" `Quick test_shape_gather_and_dot;
           Alcotest.test_case "recorded vs inferred" `Quick test_shape_recorded_vs_inferred;
+          Alcotest.test_case "propagate_step facts" `Quick test_shape_propagate_step;
           shape_check_real_tapes;
         ] );
       ( "grad-flow",

@@ -49,7 +49,6 @@ let pointwise_grads =
       ("neg", fun _ _ v -> Ad.neg v);
       ("scale", fun _ _ v -> Ad.scale 2.5 v);
       ("add_scalar", fun _ _ v -> Ad.add_scalar 3.0 v);
-      ("one_minus", fun _ _ v -> Ad.one_minus v);
       ("sum_width", fun _ _ v -> Ad.sum_width v);
       ("sum_all", fun _ _ v -> Ad.sum_all v);
       ("mean_all", fun _ _ v -> Ad.mean_all v);
@@ -57,9 +56,7 @@ let pointwise_grads =
       ("slice_row", fun _ _ v -> Ad.slice_row v 1);
       ("gather", fun _ _ v -> Ad.gather v [| 0; 2; 2; 4; 1 |]);
       ("dot_const", fun _ _ v -> Ad.dot_const v [| 0.5; -1.0; 2.0; 0.0; 3.0 |]);
-      ( "override_columns",
-        fun _ _ v -> Ad.mul (Ad.override_columns v [ (1, 1.0); (3, 0.25) ]) v );
-      ("compose mul(1-x, x)", fun _ _ v -> Ad.mul (Ad.one_minus v) v);
+      ("compose mul(1-x, x)", fun _ _ v -> Ad.mul (Ad.add_scalar 1.0 (Ad.neg v)) v);
     ]
 
 let log_safe_grad =
@@ -96,7 +93,6 @@ let segment_grads =
     [
       ("segment_softmax", fun v -> Ad.mul (Ad.segment_softmax v seg) (Ad.segment_softmax v seg));
       ("segment_sum", fun v -> Ad.mul (Ad.segment_sum v seg) (Ad.segment_sum v seg));
-      ("segment_prod", fun v -> Ad.segment_prod v seg);
     ]
 
 let segment_softmax_weighted_grad =
@@ -107,13 +103,83 @@ let segment_softmax_weighted_grad =
       let u = [| 1.0; -2.0; 0.5; 3.0; 0.0; -1.0 |] in
       grad_check ~build:(fun _ v -> Ad.dot_const (Ad.segment_softmax v seg) u) x)
 
-let segment_max_grad =
-  (* max is kinked at ties; perturb to break them *)
-  qtest "grad: segment_max (ties broken)" seeded_gen (fun seed ->
-      let seg = Segments.of_lens [| 2; 4 |] in
+(* The fused propagation step on random structures with empty parent
+   lists, a pinned root (which may have parents) and repeated parent
+   e-nodes, against finite differences in both operands. Marginals are
+   kept apart so no max tie sits within a probe's reach. *)
+let propagate_grads =
+  List.map
+    (fun mix ->
+      qtest
+        (Printf.sprintf "grad: propagate_step (%s)" (Propagation.mix_name mix))
+        seeded_gen
+        (fun seed ->
+          let rng = Rng.create seed in
+          let nodes = 2 + Rng.int rng 7 and classes = 1 + Rng.int rng 5 in
+          let prop = Test_util.random_propagation rng ~mix ~nodes ~classes in
+          let p = Test_util.separated_probabilities rng ~batch:2 ~width:nodes in
+          let cp = Tensor.init ~batch:2 ~width:nodes (fun _ _ -> 0.1 +. Rng.float rng 0.8) in
+          let w = rand_tensor rng ~batch:2 ~width:nodes in
+          let weighted tape y = Ad.mul y (Ad.const tape w) in
+          grad_check
+            ~build:(fun tape v ->
+              weighted tape (Ad.propagate_step prop v ~cp:(Ad.const tape (Tensor.copy cp))))
+            p
+          && grad_check
+               ~build:(fun tape v ->
+                 weighted tape (Ad.propagate_step prop (Ad.const tape (Tensor.copy p)) ~cp:v))
+               cp))
+    Propagation.[ Independent; Correlated; Hybrid ]
+
+(* At a max tie the documented subgradient credits the first tied parent
+   edge only: it must equal the one-sided derivative that raises that
+   parent, and the one that lowers the other tied parent. Class 1's
+   parents are e-nodes 0 and 1 (tied), class 2's is e-node 2, and
+   e-node 3 carries class 2's probability into the output. *)
+let propagate_tie_grad =
+  qtest "grad: propagate_step at max ties" seeded_gen (fun seed ->
       let rng = Rng.create seed in
-      let x = Tensor.init ~batch:2 ~width:6 (fun b i -> float_of_int ((b * 7) + (i * 3) mod 11) /. 4.0 +. Rng.float rng 0.01) in
-      grad_check ~build:(fun _ v -> Ad.segment_max v seg) x)
+      let ok = ref true in
+      List.iter
+        (fun mix ->
+          let prop =
+            Propagation.make ~mix ~edge_node:[| 0; 1; 2 |]
+              ~parents:(Segments.of_lens [| 0; 2; 1 |])
+              ~node_class:[| 1; 1; 0; 2 |] ~root:0
+          in
+          let tie = 0.2 +. Rng.float rng 0.6 in
+          let p = Tensor.of_array ~batch:1 ~width:4 [| tie; tie; Rng.float rng 1.0; 0.5 |] in
+          let cp = Tensor.init ~batch:1 ~width:4 (fun _ _ -> 0.1 +. Rng.float rng 0.8) in
+          let w = Tensor.init ~batch:1 ~width:4 (fun _ _ -> 0.5 +. Rng.float rng 1.0) in
+          let loss tape v =
+            Ad.sum_all
+              (Ad.mul (Ad.propagate_step prop v ~cp:(Ad.const tape cp)) (Ad.const tape w))
+          in
+          let f x =
+            let tape = Ad.tape () in
+            Tensor.get (Ad.value (loss tape (Ad.param tape x))) 0 0
+          in
+          let tape = Ad.tape () in
+          let v = Ad.param tape (Tensor.copy p) in
+          Ad.backward (loss tape v);
+          let g = Ad.grad v in
+          let h = 1e-7 in
+          let moved i d =
+            let x = Tensor.copy p in
+            Tensor.set x 0 i (Tensor.get x 0 i +. d);
+            f x
+          in
+          let f0 = f p in
+          let raise_first = (moved 0 h -. f0) /. h in
+          let lower_second = (f0 -. moved 1 (-.h)) /. h in
+          let close a b = Float.abs (a -. b) <= 1e-5 *. (1.0 +. Float.abs b) in
+          if not (close (Tensor.get g 0 0) raise_first && close (Tensor.get g 0 1) lower_second)
+          then ok := false;
+          (* the tie is a kink: the credited parent's gradient carries the
+             max term, the other tied parent's does not *)
+          if mix = Propagation.Correlated && Tensor.get g 0 1 <> 0.0 then ok := false)
+        Propagation.[ Correlated; Hybrid ];
+      !ok)
 
 let linear_grads =
   qtest "grad: linear layer (input, weight, bias)" seeded_gen (fun seed ->
@@ -291,10 +357,10 @@ let () =
         ( "gradients",
           pointwise_grads
           @ [ relu_grad; log_safe_grad; entropy_grad ]
-          @ segment_grads
+          @ segment_grads @ propagate_grads
           @ [
               segment_softmax_weighted_grad;
-              segment_max_grad;
+              propagate_tie_grad;
               linear_grads;
               matrix_of_entries_grad;
               mse_grad;

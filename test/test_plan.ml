@@ -110,23 +110,45 @@ let test_replay_bit_identical () =
     done
   done
 
+(* Minor-heap words a replayed step may allocate: the closures a kernel
+   call builds for its row chunks, a constant. A kernel that boxed
+   floats would allocate per element, so its words would grow with
+   batch and width past any fixed bound. *)
+let words_per_step_bound = 64.0
+
 let test_replay_allocates_nothing () =
-  let rng = Rng.create 9 in
-  let g = Test_util.random_egraph rng ~classes:8 in
-  let plan, _, _, _, _, _ = compile_plan g in
-  Obs.with_enabled @@ fun () ->
-  Metrics.scoped @@ fun () ->
-  (* warm-up replay, then measure: steady-state iterations must not
-     allocate a single tensor *)
-  Plan.run_forward plan;
-  Plan.run_backward plan;
-  let before = Metrics.counter_value "tensor.bytes_allocated" in
-  for _ = 1 to 5 do
-    Plan.run_forward plan;
-    Plan.run_backward plan
-  done;
-  let after = Metrics.counter_value "tensor.bytes_allocated" in
-  Alcotest.(check (float 0.0)) "zero bytes allocated across 5 replays" before after
+  List.iter
+    (fun (batch, classes) ->
+      let rng = Rng.create 9 in
+      let g = Test_util.random_egraph rng ~classes in
+      let config = { default_cfg with Smoothe_config.batch } in
+      let plan, _, _, _, _, _ = compile_plan ~config g in
+      (Obs.with_enabled @@ fun () ->
+       Metrics.scoped @@ fun () ->
+       (* warm-up replay, then measure: steady-state iterations must not
+          allocate a single tensor *)
+       Plan.run_forward plan;
+       Plan.run_backward plan;
+       let before = Metrics.counter_value "tensor.bytes_allocated" in
+       for _ = 1 to 5 do
+         Plan.run_forward plan;
+         Plan.run_backward plan
+       done;
+       let after = Metrics.counter_value "tensor.bytes_allocated" in
+       Alcotest.(check (float 0.0)) "zero bytes allocated across 5 replays" before after);
+      (* with the sink off, as extractions run by default *)
+      let st = Plan.stats plan in
+      let steps = float_of_int (st.Plan.steps_forward + st.Plan.steps_backward) in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 5 do
+        Plan.run_forward plan;
+        Plan.run_backward plan
+      done;
+      let per_step = (Gc.minor_words () -. w0) /. (5.0 *. steps) in
+      if per_step > words_per_step_bound then
+        Alcotest.failf "batch %d, %d classes: %.1f minor words per replayed step (bound %.0f)"
+          batch classes per_step words_per_step_bound)
+    [ (4, 8); (16, 40) ]
 
 let test_scalar_backend_refuses () =
   let rng = Rng.create 3 in
@@ -454,15 +476,24 @@ let test_context_chain_in_diagnostics () =
         (Printf.sprintf "expected exactly one diagnostic, got %d" (List.length ds))
 
 let test_analysis_reports_fusion () =
-  (* x -> neg -> scale -> add_scalar -> ... must surface a PL004 chain *)
+  (* x -> neg -> scale -> add_scalar -> ... must surface a PL004 chain.
+     The relaxation's own tape has no such run since its propagation
+     step is one fused op, so the chain is built here directly. *)
+  let tp = Ad.tape () in
+  let x = Ad.param tp (Tensor.init ~batch:2 ~width:3 (fun b i -> float_of_int (b - i))) in
+  let loss = Ad.sum_all (Ad.add_scalar 1.0 (Ad.scale 0.5 (Ad.neg x))) in
+  let chain_report =
+    Plan_check.analyze ~grads:[| Ad.node_id x |] ~root:(Ad.node_id loss) ~outputs:[||]
+      (Ad.ir tp)
+  in
+  let has code =
+    List.exists (fun d -> d.Diagnostic.code = code) chain_report.Plan_check.diags
+  in
+  Alcotest.(check bool) "finds at least one fusable chain (PL004)" true (has "PL004");
   let rng = Rng.create 29 in
   let g = Test_util.random_egraph rng ~classes:10 in
   let ir, root, theta_id, outputs = capture_ir g in
   let report = Plan_check.analyze ~grads:[| theta_id |] ~root ~outputs ir in
-  let has code =
-    List.exists (fun d -> d.Diagnostic.code = code) report.Plan_check.diags
-  in
-  Alcotest.(check bool) "finds at least one fusable chain (PL004)" true (has "PL004");
   Alcotest.(check bool) "arena smaller than interpreter allocation" true
     (report.Plan_check.arena_bytes < report.Plan_check.naive_bytes)
 

@@ -691,9 +691,98 @@ let test_assumption_names () =
   Alcotest.check_raises "unknown" (Invalid_argument "unknown assumption \"x\"") (fun () ->
       ignore (Smoothe_config.assumption_of_string "x"))
 
+(* ------------------------------------------------------------ golden *)
+
+(* Bitwise digests of one optimisation trajectory, recorded with the
+   unfused propagation (a dozen generic tape ops per step) before it was
+   replaced by one fused op: loss, cp, per-seed cost, penalty and theta
+   gradient of the third iteration at the default configuration, on an
+   acyclic (box_3) and a cyclic (ResNet-50) instance. The fused op must
+   reproduce them exactly, interpreted and replayed. *)
+let golden =
+  [
+    ("box_3", "independent", [| "8c7bf3a1407ccf5b1f429bb294cf833c"; "e6a1bcb71a7998493b4df61c43d5fddc"; "d6ffb0adff6346bda33df7a47c18e9b3"; "7dea362b3fac8e00956a4952a3d4f474"; "8f3b2ba131aa6f7bd5ca8a895d388114" |]);
+    ("box_3", "correlated", [| "f54a9fce02eb2f8e4e084feba9cc5bec"; "c9d73a5bc700db8e2f31a5cbbd96f613"; "a3ece85704c70b2eea4a1cd66b91cd1f"; "7dea362b3fac8e00956a4952a3d4f474"; "8ddad7b1ece0d4f432ca92538daa6418" |]);
+    ("box_3", "hybrid", [| "9a187f37c54ccce25f5f5b4dacd31901"; "05bbed7ad6f1a72dbba1316e62f92a88"; "6c876396d351ffc3867f1a204d0a9a8d"; "7dea362b3fac8e00956a4952a3d4f474"; "9dc292c446e23f718c32f1ec4de16b43" |]);
+    ("ResNet-50", "independent", [| "66436264308371e13a3433434562c726"; "996f61e47585fb284e96312977a76129"; "7b252ac82c1feadc14587d86d7c90c15"; "bedeb18c656ed3c3413a1538347ada22"; "34ab29b672a31edce5d941ec8189e16c" |]);
+    ("ResNet-50", "correlated", [| "0721da7071b7cb930f631504fb0433dd"; "53880caaf3af458ffd07dd998fbff612"; "a6de918a3cc2c7dc8c3f75eeddcb3416"; "da3238a41246896cd4ed1ea263959ce9"; "b43ba51b9043c965a0cbe0af835ab3f5" |]);
+    ("ResNet-50", "hybrid", [| "a26a0ee41435e3637488839475f2bfa9"; "a157bbecd77f677ade9677d923e8fe3d"; "d6489102c30cf2b314cc33960565f845"; "df19d5baebe3bb587adeccfb3e54819e"; "941cff08c14715d6db0200fd97eed6bb" |]);
+  ]
+
+let digest_tensor t =
+  let b = Buffer.create (8 * Tensor.numel t) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Tensor.unsafe_data t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_digests () =
+  List.iter
+    (fun (name, assumption, expected) ->
+      let g = (Registry.find_instance name).Registry.build () in
+      let config =
+        {
+          Smoothe_config.default with
+          Smoothe_config.assumption = Smoothe_config.assumption_of_string assumption;
+        }
+      in
+      let compiled = Relaxation.compile config g in
+      let model = Cost_model.of_egraph g in
+      let rng = Rng.create config.Smoothe_config.seed in
+      let theta =
+        Tensor.init ~batch:config.Smoothe_config.batch ~width:(Egraph.num_nodes g) (fun _ _ ->
+            config.Smoothe_config.init_std *. Rng.gaussian rng)
+      in
+      let opt = Optim.adam ~lr:config.Smoothe_config.lr [ theta ] in
+      let captures = ref [] in
+      for _ = 1 to 2 do
+        let fwd = Relaxation.forward compiled ~config ~model ~theta in
+        captures := Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss :: !captures;
+        Ad.backward fwd.Relaxation.loss;
+        Optim.adam_step opt [ Ad.grad fwd.Relaxation.theta ]
+      done;
+      let fwd = Relaxation.forward compiled ~config ~model ~theta in
+      Ad.backward fwd.Relaxation.loss;
+      let id v = Ad.node_id v in
+      let outputs =
+        [| id fwd.Relaxation.cp; id fwd.Relaxation.per_seed_cost; id fwd.Relaxation.penalty |]
+      in
+      let plan =
+        match
+          Plan.compile ~outputs ~grads:[| id fwd.Relaxation.theta |] (List.hd !captures)
+        with
+        | Ok plan -> plan
+        | Error e -> Alcotest.failf "%s/%s: compile failed: %s" name assumption e
+      in
+      Plan.run_forward plan;
+      Plan.run_backward plan;
+      let labels = [| "loss"; "cp"; "per-seed cost"; "penalty"; "theta gradient" |] in
+      let check executor got =
+        Array.iteri
+          (fun k t ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s %s: %s" name assumption executor labels.(k))
+              expected.(k) (digest_tensor t))
+          got
+      in
+      check "interpreted"
+        [|
+          Ad.value fwd.Relaxation.loss;
+          Ad.value fwd.Relaxation.cp;
+          Ad.value fwd.Relaxation.per_seed_cost;
+          Ad.value fwd.Relaxation.penalty;
+          Ad.grad fwd.Relaxation.theta;
+        |];
+      check "replayed"
+        (Array.append
+           (Array.map (Plan.value plan)
+              [| id fwd.Relaxation.loss; id fwd.Relaxation.cp; id fwd.Relaxation.per_seed_cost;
+                 id fwd.Relaxation.penalty |])
+           [| Plan.grad_of plan (id fwd.Relaxation.theta) |]))
+    golden
+
 let () =
   Alcotest.run "smoothe"
     [
+      ("golden", [ Alcotest.test_case "digests unchanged" `Quick test_golden_digests ]);
       ( "relaxation",
         [
           propagation_matches_reference Smoothe_config.Independent;

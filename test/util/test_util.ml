@@ -90,3 +90,30 @@ let contains haystack needle =
   let n = String.length haystack and m = String.length needle in
   let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
   go 0
+
+(* A random propagation structure (not necessarily an e-graph's): e-nodes
+   spread over e-classes, parent lists of 0..3 edges read from any
+   e-node (repeats included), the last class always without parents and
+   a random root that may have parents of its own. *)
+let random_propagation rng ~mix ~nodes ~classes =
+  let lens = Array.init classes (fun c -> if c = classes - 1 then 0 else Rng.int rng 4) in
+  let parents = Segments.of_lens lens in
+  let edge_node = Array.init parents.Segments.width (fun _ -> Rng.int rng nodes) in
+  let node_class = Array.init nodes (fun _ -> Rng.int rng classes) in
+  Propagation.make ~mix ~edge_node ~parents ~node_class ~root:(Rng.int rng classes)
+
+(* Probabilities in (0, 1) whose distinct entries within a row lie at
+   least 0.4 / (width + 1) apart: no ties a finite difference could
+   cross. *)
+let separated_probabilities rng ~batch ~width =
+  let t = Tensor.create ~batch ~width in
+  for b = 0 to batch - 1 do
+    let perm = Array.init width Fun.id in
+    Rng.shuffle rng perm;
+    Array.iteri
+      (fun i r ->
+        Tensor.set t b i
+          ((float_of_int r +. 0.5 +. Rng.float rng 0.6 -. 0.3) /. float_of_int (width + 1)))
+      perm
+  done;
+  t
