@@ -368,9 +368,9 @@ let fault_plan_flag =
     & opt string ""
     & info [ "fault-plan" ] ~docv:"PLAN"
         ~doc:
-          "Deterministic fault injection: comma-separated $(b,nan\\@K) (poison the K-th \
-           gradient), $(b,mem\\@SCALE) (memory pressure), $(b,stall) (LP solver stall), \
-           $(b,skew\\@S) (clock jump). The run must still return a valid extraction.")
+          "Deterministic fault injection: comma-separated $(b,nan@K) (poison the K-th \
+           gradient), $(b,mem@SCALE) (memory pressure), $(b,stall) (LP solver stall), \
+           $(b,skew@S) (clock jump). The run must still return a valid extraction.")
 
 let health_report_flag =
   Arg.(
@@ -1213,7 +1213,7 @@ let request_cmd =
       & info [ "fault-plan" ] ~docv:"PLAN"
           ~doc:
             "Test-only deterministic faults applied to this request's execution (single-\
-             executor daemons only), e.g. $(b,crash\\@5).")
+             executor daemons only), e.g. $(b,crash@5).")
   in
   let no_cache =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the daemon's solution cache.")

@@ -81,7 +81,7 @@ let check ?root (ir : Ir.t) =
       add
         (D.info ~code:"GF003" D.Graph
            "%d op node%s feed%s the loss through constants only (no parameter upstream); \
-            expected for cost vectors and propagation seeds, suspicious elsewhere"
+            expected for cost vectors, suspicious elsewhere"
            !blocked
            (if !blocked = 1 then "" else "s")
            (if !blocked = 1 then "s" else ""));
@@ -136,11 +136,17 @@ let check ?root (ir : Ir.t) =
                 let l = float_of_int max_len in
                 mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi))
             | _ -> top)
-        | "propagate_step", 2 ->
-            (* probabilities in, class probabilities in [0, 1] (the
-               root pinned at 1, parentless classes at 0), times cp *)
-            let p = arg 0 in
-            if p.lo >= 0.0 && p.hi <= 1.0 then imul (arg 1) { lo = 0.0; hi = 1.0 } else top
+        | "propagate", (1 | 2) ->
+            (* probabilities in, class probabilities in [0, 1] (the root
+               pinned at 1, parentless classes at 0), times cp at every
+               step; without an argument p⁰ is cp times 0 or 1 *)
+            let k = Array.length nd.Ir.args in
+            let cp = arg (k - 1) in
+            let unit = { lo = 0.0; hi = 1.0 } in
+            let inside (x : itv) = x.lo >= 0.0 && x.hi <= 1.0 in
+            let p0 = if k = 2 then arg 0 else imul cp unit in
+            let steps = match nd.Ir.meta with Ir.M_propagation { steps; _ } -> steps | _ -> 1 in
+            if inside p0 && (steps = 1 || inside (imul cp unit)) then imul cp unit else top
         | "gather", 1 -> arg 0
         | ("mean_rows" | "slice_row"), 1 -> arg 0
         | ("sum_width" | "sum_all"), 1 -> (
@@ -156,12 +162,11 @@ let check ?root (ir : Ir.t) =
       itv.(i) <- out;
       (* GF005: reductions over provably empty segments *)
       (match (nd.Ir.op, nd.Ir.meta) with
-      | "propagate_step", Ir.M_propagation { empty_classes; classes; _ } when empty_classes > 0
-        ->
+      | "propagate", Ir.M_propagation { empty_classes; classes; _ } when empty_classes > 0 ->
           add
             (D.info ~code:"GF005" (D.Tape_node i)
-               "`propagate_step` at node %d (built in %s): %d of %d e-classes have no parent \
-                edges (their product is 1 and their max 0; expected for the root)"
+               "`propagate` at node %d (built in %s): %d of %d e-classes have no parent edges \
+                (their product is 1 and their max 0; expected for the root)"
                i nd.Ir.context empty_classes classes)
       | ( ("segment_softmax" | "segment_sum"), Ir.M_segments { empty_segments; seg_count; _ } )
         when empty_segments > 0 ->

@@ -12,13 +12,13 @@
       training would silently be a no-op for it
     - [GF002] warning: *no* parameter reaches the loss at all
     - [GF003] info: op nodes feeding the loss through constants only
-      (a const-blocked subgraph; expected for cost vectors and the
-      propagation seed, worth surfacing when unexpected)
+      (a const-blocked subgraph; expected for cost vectors, worth
+      surfacing when unexpected)
     - [GF004] warning: a domain-boundary op ([log]/[div]/[sqrt] family)
       whose operand interval admits values ≤ 0 — the value is clamped
       but the gradient can explode or go non-finite at the boundary
     - [GF005] warning ([segment_softmax]) / info ([segment_sum], and
-      [propagate_step] e-classes without parent edges): reduction over
+      [propagate] e-classes without parent edges): reduction over
       provably empty segments *)
 
 val check : ?root:int -> Ad.Ir.t -> Diagnostic.t list

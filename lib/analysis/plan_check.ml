@@ -124,9 +124,9 @@ let meta_desc : Ad.Ir.meta -> string = function
   | M_segments { seg_count; seg_width; empty_segments; max_len } ->
       Printf.sprintf "%d segments over %d elements (%d empty, max len %d)" seg_count
         seg_width empty_segments max_len
-  | M_propagation { mix; nodes; classes; edges; _ } ->
-      Printf.sprintf "%s propagation over %d e-nodes, %d classes, %d parent edges"
-        (Propagation.mix_name mix) nodes classes edges
+  | M_propagation { mix; nodes; classes; edges; steps; _ } ->
+      Printf.sprintf "%s propagation of %d steps over %d e-nodes, %d classes, %d parent edges"
+        (Propagation.mix_name mix) steps nodes classes edges
   | M_row r -> Printf.sprintf "row %d" r
   | M_width w -> Printf.sprintf "%d coefficients" w
   | M_matrix { dim; _ } -> Printf.sprintf "%dx%d scatter" dim dim

@@ -67,17 +67,18 @@ let check (ir : Ir.t) =
                 else if nd.Ir.op = "segment_softmax" then a
                 else sh a.Ir.batch seg_count
             | _ -> recorded)
-        | "propagate_step", 2 -> (
-            let p = arg 0 and cp = arg 1 in
+        | "propagate", (1 | 2) -> (
+            (* [p⁰; cp] or [cp] alone *)
+            let k = Array.length nd.Ir.args in
+            let p = arg 0 and cp = arg (k - 1) in
             if p <> cp then
-              errf ~code:"SC001" "`propagate_step` at node %d: marginals %s vs cp %s" i (str p)
+              errf ~code:"SC001" "`propagate` at node %d: marginals %s vs cp %s" i (str p)
                 (str cp);
             match nd.Ir.meta with
             | Ir.M_propagation { nodes; _ } ->
                 if nodes <> p.Ir.width then
                   errf ~code:"SC003"
-                    "`propagate_step` at node %d: structure covers %d e-nodes but the operand \
-                     is %s"
+                    "`propagate` at node %d: structure covers %d e-nodes but the operand is %s"
                     i nodes (str p);
                 sh p.Ir.batch nodes
             | _ -> recorded)

@@ -9,10 +9,10 @@
     before (or without) a forward pass.
 
     Codes (full table in DESIGN.md):
-    - [SC001] error: pointwise binary operands (or [propagate_step]'s
+    - [SC001] error: pointwise binary operands (or [propagate]'s
       marginals and cp) disagree
     - [SC002] error: gather index out of the operand's width
-    - [SC003] error: segmentation (or [propagate_step] structure)
+    - [SC003] error: segmentation (or [propagate] structure)
       width disagrees with the operand
     - [SC004] error: linear/dot dimension mismatch
     - [SC005] error: [expm_trace] of a non-square matrix

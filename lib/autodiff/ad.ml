@@ -23,6 +23,7 @@ module Ir = struct
         edges : int;
         root : int;
         empty_classes : int;
+        steps : int;
       }
     | M_row of int
     | M_width of int
@@ -53,7 +54,7 @@ type payload =
   | P_segments of Segments.t  (* segment_* *)
   | P_coeffs of float array  (* dot_const *)
   | P_entries of { dim : int; entries : (int * int * int) array }  (* matrix_of_entries *)
-  | P_propagation of Propagation.t  (* propagate_step *)
+  | P_propagation of Propagation.t  (* propagate *)
 
 type v = {
   tp : tape;
@@ -312,15 +313,15 @@ let segment_sum a seg =
         Tensor.add_inplace (grad_tensor a) spread);
   out
 
-(* The interpreter allocates the output and the op-owned scratch (q and
-   the per-class argmax, read back by the pull) per node, then calls the
+(* The interpreter allocates the output and the op-owned scratch (the
+   p, q and argmax history the pull reads back) per node, then calls the
    same kernels the plan replays over its arena. *)
-let propagate_step prop p ~cp =
-  let tp = owner p in
-  let x = p.value in
-  let s = Propagation.scratch prop ~batch:x.Tensor.batch in
-  let y = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
-  Propagation.forward_into prop s ~out:y ~p:x ~cp:cp.value;
+let propagate ?p0 prop ~steps ~cp =
+  let tp = owner cp in
+  let c = cp.value in
+  let s = Propagation.scratch prop ~batch:c.Tensor.batch ~steps in
+  let y = Tensor.create ~batch:c.Tensor.batch ~width:c.Tensor.width in
+  Propagation.forward_into prop s ~out:y ~p0:(Option.map value p0) ~cp:c;
   let lens = prop.Propagation.parents.Segments.lens in
   let meta =
     Ir.M_propagation
@@ -331,16 +332,16 @@ let propagate_step prop p ~cp =
         edges = Propagation.edges prop;
         root = prop.Propagation.root;
         empty_classes = Array.fold_left (fun k l -> if l = 0 then k + 1 else k) 0 lens;
+        steps;
       }
   in
-  let out =
-    node ~op:"propagate_step" ~meta ~payload:(P_propagation prop) ~args:[| p; cp |] tp y None
-  in
+  let args = match p0 with Some p -> [| p; cp |] | None -> [| cp |] in
+  let out = node ~op:"propagate" ~meta ~payload:(P_propagation prop) ~args tp y None in
   out.pull <-
     Some
       (fun () ->
-        Propagation.backward_into prop s ~g:(grad_tensor out) ~p:x ~cp:cp.value
-          ~gp:(Some (grad_tensor p)) ~gcp:(Some (grad_tensor cp)));
+        Propagation.backward_into prop s ~g:(grad_tensor out) ~cp:c
+          ~gp0:(Option.map grad_tensor p0) ~gcp:(Some (grad_tensor cp)));
   out
 
 let mean_rows a =

@@ -4,8 +4,8 @@
     (§3) needs gradients of a scalar loss — cost model plus NOTEARS
     acyclicity penalty — with respect to the free e-node logits θ,
     through segment softmax, the iterative probability propagation φ of
-    Eq. (5)–(7) (unrolled on the tape, one fused node per step), MLP cost models, and the matrix
-    exponential of Eq. (8).
+    Eq. (5)–(7) (all its unrolled steps in one tape node), MLP cost
+    models, and the matrix exponential of Eq. (8).
 
     Usage: allocate a {!tape}, lift inputs with {!const}/{!param}, build
     the loss with the operators below, call {!backward} on the scalar
@@ -46,7 +46,8 @@ module Ir : sig
         edges : int;
         root : int;
         empty_classes : int;  (** e-classes without parent edges *)
-      }  (** [propagate_step] structure summary *)
+        steps : int;  (** unrolled steps T *)
+      }  (** [propagate] structure summary *)
     | M_row of int  (** [slice_row] row index *)
     | M_width of int  (** [dot_const] coefficient count *)
     | M_matrix of { dim : int; class_min : int; class_max : int; col_max : int }
@@ -80,7 +81,7 @@ type payload =
   | P_coeffs of float array  (** [dot_const] coefficients *)
   | P_entries of { dim : int; entries : (int * int * int) array }
       (** [matrix_of_entries] scatter targets *)
-  | P_propagation of Propagation.t  (** [propagate_step] structure *)
+  | P_propagation of Propagation.t  (** [propagate] structure *)
 
 type tape
 type v
@@ -162,12 +163,15 @@ val segment_softmax : v -> Segments.t -> v
 
 val segment_sum : v -> Segments.t -> v
 
-val propagate_step : Propagation.t -> v -> cp:v -> v
-(** [propagate_step prop p ~cp] is one step of the unrolled marginal
-    propagation of Eq. (5)–(7), (B,N) → (B,N): class probabilities from
-    the parents' marginals [p] under [prop]'s mix, the root pinned at 1,
-    times [cp]. One tape node; its kernels and its subgradient at max
-    ties are documented in {!Propagation}. *)
+val propagate : ?p0:v -> Propagation.t -> steps:int -> cp:v -> v
+(** [propagate prop ~steps ~cp] is the whole unrolled marginal
+    propagation of Eq. (5)–(7), (B,N) → (B,N): [steps] steps of class
+    probabilities from the parents' marginals under [prop]'s mix, the
+    root pinned at 1, times [cp], starting from [p0] or, without it,
+    from [cp ⊙ q⁰[class]] ([q⁰] = 1 at the root, 0 elsewhere). One tape
+    node; its kernels, its step windows and its subgradient at max ties
+    are documented in {!Propagation}.
+    @raise Invalid_argument when [steps < 1]. *)
 
 val mean_rows : v -> v
 (** (B,N) → (1,N) batch mean — the batched matrix-exponential

@@ -13,7 +13,7 @@
 
 let op_supported = function
   | "const" | "param" | "add" | "sub" | "mul" | "neg" | "scale" | "add_scalar"
-  | "log_safe" | "relu" | "gather" | "segment_softmax" | "segment_sum" | "propagate_step"
+  | "log_safe" | "relu" | "gather" | "segment_softmax" | "segment_sum" | "propagate"
   | "mean_rows" | "slice_row" | "sum_width" | "sum_all" | "dot_const" | "linear"
   | "matrix_of_entries" | "expm_trace" ->
       true
@@ -44,7 +44,7 @@ let backward_reads_arg op k =
   match op, k with
   | "mul", _ -> true
   | ("log_safe" | "relu"), 0 -> true
-  | ("linear" | "propagate_step"), (0 | 1) -> true
+  | ("linear" | "propagate"), (0 | 1) -> true
   | _ -> false
 
 let backward_reads_self op = String.equal op "segment_softmax"
@@ -348,6 +348,11 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | Ad.P_propagation p -> p
       | _ -> failf "node %d (%s): propagation payload missing" i ir.(i).op
     in
+    let steps_of i =
+      match ir.(i).meta with
+      | Ad.Ir.M_propagation { steps; _ } -> steps
+      | _ -> failf "node %d (%s): propagation metadata missing" i ir.(i).op
+    in
     let entries_of i =
       match cap.pay.(i) with
       | Ad.P_entries { dim; entries } -> (dim, entries)
@@ -413,12 +418,14 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | "segment_sum" ->
           let o = v i and x = v (a 0) and seg = seg_of i in
           Some (fun () -> Segments.sum_into ~out:o x seg)
-      | "propagate_step" ->
-          let o = v i and x = v (a 0) and c = v (a 1) and prop = prop_of i in
-          let sc = Propagation.scratch prop ~batch:x.Tensor.batch in
+      | "propagate" ->
+          let k = Array.length nd.args in
+          let o = v i and c = v (a (k - 1)) and prop = prop_of i in
+          let p0 = if k = 2 then Some (v (a 0)) else None in
+          let sc = Propagation.scratch prop ~batch:c.Tensor.batch ~steps:(steps_of i) in
           scratch_floats := !scratch_floats + Propagation.scratch_words sc;
           prop_scratch.(i) <- Some sc;
-          Some (fun () -> Propagation.forward_into prop sc ~out:o ~p:x ~cp:c)
+          Some (fun () -> Propagation.forward_into prop sc ~out:o ~p0 ~cp:c)
       | "mean_rows" ->
           let o = v i and x = v (a 0) in
           let od = data o and xd = data x in
@@ -691,17 +698,18 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
                         done
                       done))
           | None -> None)
-      | "propagate_step" -> (
+      | "propagate" -> (
           let sc =
             match prop_scratch.(j) with
             | Some sc -> sc
             | None -> failf "internal: node %d propagation scratch missing" j
           in
-          let prop = prop_of j and x = v (a 0) and c = v (a 1) in
-          match gb 0, gb 1 with
+          let k = Array.length nd.args in
+          let prop = prop_of j and c = v (a (k - 1)) in
+          match (if k = 2 then gb 0 else None), gb (k - 1) with
           | None, None -> None
-          | gp, gcp ->
-              Some (fun () -> Propagation.backward_into prop sc ~g:gj ~p:x ~cp:c ~gp ~gcp))
+          | gp0, gcp ->
+              Some (fun () -> Propagation.backward_into prop sc ~g:gj ~cp:c ~gp0 ~gcp))
       | "mean_rows" -> (
           match gb 0 with
           | Some ga ->

@@ -59,8 +59,9 @@ val is_leaf : string -> bool
 
 val backward_reads_arg : string -> int -> bool
 (** [backward_reads_arg op k]: does [op]'s pull read the forward value
-    of operand [k]? ([mul] both, [log_safe]/[relu]/[segment_prod] their
-    input, [linear] its input and weight.) *)
+    of operand [k]? ([mul] both, [log_safe]/[relu] their input,
+    [linear] its input and weight, [propagate] its cp — and, keeping
+    the answer independent of arity, its [p⁰], which the op copies.) *)
 
 val backward_reads_self : string -> bool
 (** Does the pull read the op's {e own} forward output?

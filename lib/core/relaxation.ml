@@ -8,6 +8,7 @@ type compiled = {
   g : Egraph.t;
   prop_iters : int;
   blocks : scc_block array;
+  prop : Propagation.t;
 }
 
 (* A component can host a cycle iff it has more than one class, or a
@@ -70,26 +71,10 @@ let build_full_block g =
     [| { dim = m; classes; entries = Vec.to_array entries } |]
   end
 
-let compile config g =
-  let blocks =
-    if config.Smoothe_config.scc_decomposition then build_blocks g else build_full_block g
-  in
-  { g; prop_iters = Smoothe_config.derive_prop_iters config g; blocks }
-
-type forward = {
-  tape : Ad.tape;
-  theta : Ad.v;
-  cp : Ad.v;
-  p : Ad.v;
-  per_seed_cost : Ad.v;
-  penalty : Ad.v;
-  loss : Ad.v;
-}
-
-(* The parallel-schedule update of §3.3 as one fused op per step: class
-   probabilities q from the parents' marginals under independence
-   Eq. (6), full correlation Eq. (7), or their mean (hybrid), the root
-   pinned at probability 1, then p = cp ⊙ q[class]. *)
+(* The parallel-schedule update of §3.3: class probabilities q from the
+   parents' marginals under independence Eq. (6), full correlation
+   Eq. (7), or their mean (hybrid), the root pinned at probability 1,
+   then p = cp ⊙ q[class]. *)
 let propagation config g =
   let mix =
     match config.Smoothe_config.assumption with
@@ -100,21 +85,26 @@ let propagation config g =
   Propagation.make ~mix ~edge_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
     ~node_class:g.Egraph.node_class ~root:g.Egraph.root
 
-let propagate compiled ~config tape cp =
-  let g = compiled.g in
-  let prop = propagation config g in
-  let batch = (Ad.value cp).Tensor.batch in
-  let m = Egraph.num_classes g in
-  (* q⁰: root = 1, everything else 0. *)
-  let q0 = Tensor.create ~batch ~width:m in
-  for b = 0 to batch - 1 do
-    Tensor.set q0 b g.Egraph.root 1.0
-  done;
-  let p = ref (Ad.mul cp (Ad.gather (Ad.const tape q0) g.Egraph.node_class)) in
-  for _ = 1 to compiled.prop_iters do
-    p := Ad.propagate_step prop !p ~cp
-  done;
-  !p
+let compile config g =
+  let blocks =
+    if config.Smoothe_config.scc_decomposition then build_blocks g else build_full_block g
+  in
+  {
+    g;
+    prop_iters = Smoothe_config.derive_prop_iters config g;
+    blocks;
+    prop = propagation config g;
+  }
+
+type forward = {
+  tape : Ad.tape;
+  theta : Ad.v;
+  cp : Ad.v;
+  p : Ad.v;
+  per_seed_cost : Ad.v;
+  penalty : Ad.v;
+  loss : Ad.v;
+}
 
 let penalty_of_cp compiled tape cp_rows =
   (* cp_rows: (1, N) — either the batch mean (Eq. 11) or one seed. *)
@@ -139,7 +129,8 @@ let forward ?(temperature = 1.0) compiled ~config ~model ~theta =
     if temperature = 1.0 then theta_v else Ad.scale (1.0 /. Float.max 1e-6 temperature) theta_v
   in
   let cp = Ad.segment_softmax logits g.Egraph.class_seg in
-  let p = propagate compiled ~config tape cp in
+  (* p⁰ = cp ⊙ q⁰[class] (q⁰: root 1, else 0), then prop_iters steps *)
+  let p = Ad.propagate compiled.prop ~steps:compiled.prop_iters ~cp in
   let per_seed_cost = Cost_model.relaxed model tape p in
   let batch = theta.Tensor.batch in
   let penalty =

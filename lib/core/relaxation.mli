@@ -26,6 +26,7 @@ type compiled = {
   g : Egraph.t;
   prop_iters : int;
   blocks : scc_block array;  (** only components that can host a cycle *)
+  prop : Propagation.t;  (** the propagation structure under the configured assumption *)
 }
 
 val compile : Smoothe_config.t -> Egraph.t -> compiled

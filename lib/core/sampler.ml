@@ -69,25 +69,102 @@ let sample_seed ?(repair = false) g ~cp ~seed =
     attempt first 16
   end
 
-let sample_all ?repair g ~cp =
-  Array.init cp.Tensor.batch (fun seed -> sample_seed ?repair g ~cp ~seed)
+(* The reference path: decode every seed, validate it, score it with
+   the model. Kept for [repair] and for non-linear models. *)
+let best_of_decodes ~repair g ~model ~cp =
+  let best = ref None and accepted = ref 0 in
+  for seed = 0 to cp.Tensor.batch - 1 do
+    let s = sample_seed ~repair g ~cp ~seed in
+    let cost = Cost_model.dense_solution model g s in
+    if Float.is_finite cost then begin
+      incr accepted;
+      match !best with
+      | Some (_, _, c) when c <= cost -> ()
+      | Some _ | None -> best := Some (seed, s, cost)
+    end
+  done;
+  (!best, !accepted)
 
-let best_of_batch ?repair g ~model ~cp =
-  let samples = sample_all ?repair g ~cp in
-  let best = ref None in
-  let accepted = ref 0 in
-  Array.iteri
-    (fun seed s ->
-      let cost = Cost_model.dense_solution model g s in
-      if Float.is_finite cost then begin
+(* Linear models in one pass per seed: a DFS from the root over buffers
+   shared by all seeds takes the argmax (first strict maximum) of each
+   class when it first reaches it, stops at a child class still on its
+   path (a cycle, so the seed scores infinity), and sums the selected
+   nodes' costs in ascending node order, as [Cost_model.dense] does, so
+   the cost bits equal the reference path's. Only the winning seed is
+   decoded into a solution. *)
+let best_linear g ~model ~cp =
+  let m = Egraph.num_classes g and n = Egraph.num_nodes g in
+  let members = g.Egraph.class_nodes and children = g.Egraph.children in
+  let u = Cost_model.linear_coeffs model and cd = Tensor.unsafe_data cp in
+  let pick = Array.make m 0 and state = Array.make m 0 in
+  let stack = Array.make m 0 and pos = Array.make m 0 and seen = Array.make m 0 in
+  let chosen = Array.make n false in
+  let best = ref (-1) and best_cost = ref infinity and accepted = ref 0 in
+  for b = 0 to cp.Tensor.batch - 1 do
+    let base = b * n and nseen = ref 0 and depth = ref 0 and cyclic = ref false in
+    let enter c =
+      let ks = members.(c) in
+      let k = ref ks.(0) in
+      for i = 1 to Array.length ks - 1 do
+        if cd.(base + ks.(i)) > cd.(base + !k) then k := ks.(i)
+      done;
+      pick.(c) <- !k;
+      state.(c) <- 1;
+      seen.(!nseen) <- c;
+      incr nseen;
+      stack.(!depth) <- c;
+      pos.(!depth) <- 0;
+      incr depth
+    in
+    enter g.Egraph.root;
+    while !depth > 0 && not !cyclic do
+      let c = stack.(!depth - 1) in
+      let ch = children.(pick.(c)) and i = pos.(!depth - 1) in
+      if i < Array.length ch then begin
+        pos.(!depth - 1) <- i + 1;
+        let d = ch.(i) in
+        if state.(d) = 1 then cyclic := true else if state.(d) = 0 then enter d
+      end
+      else begin
+        state.(c) <- 2;
+        decr depth
+      end
+    done;
+    if not !cyclic then begin
+      for i = 0 to !nseen - 1 do
+        chosen.(pick.(seen.(i))) <- true
+      done;
+      let cost = ref 0.0 in
+      for k = 0 to n - 1 do
+        if chosen.(k) then begin
+          cost := !cost +. (u.(k) *. 1.0);
+          chosen.(k) <- false
+        end
+      done;
+      if Float.is_finite !cost then begin
         incr accepted;
-        match !best with
-        | Some (_, _, c) when c <= cost -> ()
-        | Some _ | None -> best := Some (seed, s, cost)
-      end)
-    samples;
+        if !cost < !best_cost then begin
+          best := b;
+          best_cost := !cost
+        end
+      end
+    end;
+    for i = 0 to !nseen - 1 do
+      state.(seen.(i)) <- 0
+    done
+  done;
+  let winner =
+    if !best < 0 then None else Some (!best, sample_seed g ~cp ~seed:!best, !best_cost)
+  in
+  (winner, !accepted)
+
+let best_of_batch ?(repair = false) g ~model ~cp =
+  let best, accepted =
+    if repair || not (Cost_model.is_linear model) then best_of_decodes ~repair g ~model ~cp
+    else best_linear g ~model ~cp
+  in
   if !Obs.on then begin
-    Metrics.incr ~by:(float_of_int (Array.length samples)) "sampler.samples";
-    Metrics.incr ~by:(float_of_int !accepted) "sampler.accepted"
+    Metrics.incr ~by:(float_of_int cp.Tensor.batch) "sampler.samples";
+    Metrics.incr ~by:(float_of_int accepted) "sampler.accepted"
   end;
-  !best
+  best

@@ -19,9 +19,6 @@ val sample_seed : ?repair:bool -> Egraph.t -> cp:Tensor.t -> seed:int -> Egraph.
     completeness; it may be cyclic (check with
     {!Egraph.Solution.validate}) unless [repair] succeeded. *)
 
-val sample_all : ?repair:bool -> Egraph.t -> cp:Tensor.t -> Egraph.Solution.s array
-(** All seeds of the batch. *)
-
 val best_of_batch :
   ?repair:bool ->
   Egraph.t ->
@@ -29,6 +26,10 @@ val best_of_batch :
   cp:Tensor.t ->
   (int * Egraph.Solution.s * float) option
 (** Decode every seed, score valid decodes with the model, and return
-    (seed index, solution, cost) of the cheapest — the selection rule of
-    §4.2's seed batching. [None] when every seed decoded to an invalid
-    selection. *)
+    (seed index, solution, cost) of the cheapest, the earliest seed on
+    ties — the selection rule of §4.2's seed batching. [None] when every
+    seed decoded to an invalid selection. Under a linear model without
+    [repair], each seed is decoded, checked for a cycle and scored in
+    one pass from the root, and only the winner becomes a solution; the
+    result is the same as decoding, validating and scoring each seed
+    with {!Cost_model.dense_solution}. *)

@@ -198,14 +198,22 @@ let forward_ir g =
 let test_shape_propagate_step () =
   let meta nodes =
     Ad.Ir.M_propagation
-      { mix = Propagation.Hybrid; nodes; classes = 3; edges = 4; root = 0; empty_classes = 1 }
+      {
+        mix = Propagation.Hybrid;
+        nodes;
+        classes = 3;
+        edges = 4;
+        root = 0;
+        empty_classes = 1;
+        steps = 1;
+      }
   in
   let ir =
     [|
       ir_node "param" [||] (sh 2 5);
       ir_node "param" [||] (sh 2 4);
-      ir_node "propagate_step" [| 0; 1 |] ~meta:(meta 5) (sh 2 5);
-      ir_node "propagate_step" [| 0; 0 |] ~meta:(meta 6) (sh 2 5);
+      ir_node "propagate" [| 0; 1 |] ~meta:(meta 5) (sh 2 5);
+      ir_node "propagate" [| 0; 0 |] ~meta:(meta 6) (sh 2 5);
     |]
   in
   let ds = Shape_check.check ir in
@@ -221,7 +229,7 @@ let test_shape_propagate_step () =
        (fun d ->
          d.Diagnostic.code = "GF005"
          && d.Diagnostic.severity = Diagnostic.Info
-         && contains d.Diagnostic.message "propagate_step")
+         && contains d.Diagnostic.message "`propagate`")
        gf)
 
 (* every real forward tape must satisfy its own shape abstraction *)

@@ -123,11 +123,12 @@ let propagate_grads =
           let weighted tape y = Ad.mul y (Ad.const tape w) in
           grad_check
             ~build:(fun tape v ->
-              weighted tape (Ad.propagate_step prop v ~cp:(Ad.const tape (Tensor.copy cp))))
+              weighted tape (Ad.propagate ~p0:v prop ~steps:1 ~cp:(Ad.const tape (Tensor.copy cp))))
             p
           && grad_check
                ~build:(fun tape v ->
-                 weighted tape (Ad.propagate_step prop (Ad.const tape (Tensor.copy p)) ~cp:v))
+                 weighted tape
+                   (Ad.propagate ~p0:(Ad.const tape (Tensor.copy p)) prop ~steps:1 ~cp:v))
                cp))
     Propagation.[ Independent; Correlated; Hybrid ]
 
@@ -153,7 +154,7 @@ let propagate_tie_grad =
           let w = Tensor.init ~batch:1 ~width:4 (fun _ _ -> 0.5 +. Rng.float rng 1.0) in
           let loss tape v =
             Ad.sum_all
-              (Ad.mul (Ad.propagate_step prop v ~cp:(Ad.const tape cp)) (Ad.const tape w))
+              (Ad.mul (Ad.propagate ~p0:v prop ~steps:1 ~cp:(Ad.const tape cp)) (Ad.const tape w))
           in
           let f x =
             let tape = Ad.tape () in
@@ -180,6 +181,63 @@ let propagate_tie_grad =
           if mix = Propagation.Correlated && Tensor.get g 0 1 <> 0.0 then ok := false)
         Propagation.[ Correlated; Hybrid ];
       !ok)
+
+(* The whole unrolled propagation as one op against the same number of
+   chained single steps: p^T, the cp adjoint and the p⁰ adjoint must be
+   bit-identical for every mix, for p⁰ given or built from cp, for T = 1,
+   below, at and above the structure's depth (its deepest finite settle
+   step or height), on both backends and with one or two pool domains
+   (the cutoff lowered so every row chunk goes through the pool). *)
+let propagate_fused_matches_chained =
+  qtest ~count:40 "propagate: fused steps = chained single steps" seeded_gen (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 2 + Rng.int rng 9 and classes = 1 + Rng.int rng 6 in
+      let dag = Rng.int rng 2 = 0 in
+      let batch = 1 + Rng.int rng 3 in
+      let p0 = Test_util.separated_probabilities rng ~batch ~width:nodes in
+      let cp = Tensor.init ~batch ~width:nodes (fun _ _ -> 0.1 +. Rng.float rng 0.8) in
+      let w = rand_tensor rng ~batch ~width:nodes in
+      List.for_all
+        (fun mix ->
+          let prop = Test_util.random_propagation ~dag rng ~mix ~nodes ~classes in
+          let finite_max a =
+            Array.fold_left (fun d x -> if x = Propagation.never then d else max d x) 1 a
+          in
+          let depth = max (finite_max prop.Propagation.settle) (finite_max prop.Propagation.height) in
+          let run ~fused ~given ~steps =
+            let tape = Ad.tape () in
+            let cpv = Ad.param tape (Tensor.copy cp) in
+            let p0v = if given then Some (Ad.param tape (Tensor.copy p0)) else None in
+            let out =
+              if fused then Ad.propagate ?p0:p0v prop ~steps ~cp:cpv
+              else Test_util.chained_propagation ?p0:p0v tape prop ~steps ~cp:cpv
+            in
+            Ad.backward (Ad.sum_all (Ad.mul out (Ad.const tape w)));
+            Ad.value out :: Ad.grad cpv :: Option.to_list (Option.map Ad.grad p0v)
+          in
+          let saved_jobs = Pool.jobs () and saved_cutoff = !Parallel.sequential_cutoff in
+          Fun.protect ~finally:(fun () ->
+              Pool.set_jobs saved_jobs;
+              Parallel.sequential_cutoff := saved_cutoff)
+          @@ fun () ->
+          Parallel.sequential_cutoff := 1;
+          List.for_all
+            (fun (steps, given, backend, jobs) ->
+              Pool.set_jobs jobs;
+              Tensor.Backend.with_mode backend (fun () ->
+                  List.for_all2 Tensor.bits_equal
+                    (run ~fused:true ~given ~steps)
+                    (run ~fused:false ~given ~steps)))
+            (List.concat_map
+               (fun steps ->
+                 List.concat_map
+                   (fun given ->
+                     List.concat_map
+                       (fun backend -> [ (steps, given, backend, 1); (steps, given, backend, 2) ])
+                       Tensor.Backend.[ Vectorized; Scalar ])
+                   [ true; false ])
+               (List.sort_uniq compare [ 1; max 1 (depth - 1); depth; depth + 2 ])))
+        Propagation.[ Independent; Correlated; Hybrid ])
 
 let linear_grads =
   qtest "grad: linear layer (input, weight, bias)" seeded_gen (fun seed ->
@@ -361,6 +419,7 @@ let () =
           @ [
               segment_softmax_weighted_grad;
               propagate_tie_grad;
+              propagate_fused_matches_chained;
               linear_grads;
               matrix_of_entries_grad;
               mse_grad;

@@ -73,12 +73,21 @@ let greedy_matches_brute_force_on_trees =
 
 (* ----------------------------------------------------------- greedy-dag *)
 
-let greedy_dag_never_worse_than_greedy =
-  qtest "greedy-dag <= greedy on DAG cost" (Test_util.arb_egraph ~max_classes:7 ())
+(* What greedy-dag guarantees on every acyclic e-graph: a valid
+   selection, reported at its DAG cost. It does not guarantee beating
+   plain greedy: maxsat_25_120 (greedy 33, greedy-dag 45) and mcm_8
+   (201.5 vs 202) are bundled counterexamples. *)
+let greedy_dag_reports_valid_dag_cost =
+  qtest "greedy-dag valid at its DAG cost" (Test_util.arb_egraph ~max_classes:7 ())
     (fun g ->
-      let a = (Greedy_dag.extract g).Extractor.cost in
-      let b = (Greedy.extract g).Extractor.cost in
-      a <= b +. 1e-9)
+      let r = Greedy_dag.extract g in
+      match r.Extractor.solution with
+      | Some s ->
+          Egraph.Solution.is_valid g s
+          && Int64.equal
+               (Int64.bits_of_float r.Extractor.cost)
+               (Int64.bits_of_float (Egraph.Solution.dag_cost g s))
+      | None -> false)
 
 let test_greedy_dag_beats_greedy_on_sharing () =
   (* A diamond *below a single e-node*: x1 (cost 1) uses P and Q, both
@@ -508,7 +517,7 @@ let () =
         ] );
       ( "greedy_dag",
         [
-          greedy_dag_never_worse_than_greedy;
+          greedy_dag_reports_valid_dag_cost;
           Alcotest.test_case "beats greedy on shared subexpr" `Quick
             test_greedy_dag_beats_greedy_on_sharing;
           Alcotest.test_case "cross-class sharing still defeats it" `Quick

@@ -208,11 +208,11 @@ let kernel_outputs () =
       ~node_class:(Array.init 900 (fun i -> i * 13 mod 90))
       ~root:0
   in
-  let ps = Propagation.scratch prop ~batch:6 in
+  let ps = Propagation.scratch prop ~batch:6 ~steps:1 in
   let stepped = Tensor.create ~batch:6 ~width:900 in
-  Propagation.forward_into prop ps ~out:stepped ~p:soft ~cp:soft;
+  Propagation.forward_into prop ps ~out:stepped ~p0:(Some soft) ~cp:soft;
   let gp = Tensor.create ~batch:6 ~width:900 and gcp = Tensor.create ~batch:6 ~width:900 in
-  Propagation.backward_into prop ps ~g:b ~p:soft ~cp:soft ~gp:(Some gp) ~gcp:(Some gcp);
+  Propagation.backward_into prop ps ~g:b ~cp:soft ~gp0:(Some gp) ~gcp:(Some gcp);
   let idx = Array.init 900 (fun i -> i * 7 mod 900) in
   let gathered = Segments.gather a idx in
   let acc = Tensor.create ~batch:6 ~width:900 in

@@ -291,9 +291,9 @@ let prop_gen mix =
       (triple (int_bound 1_000_000) (int_range 1 9) (int_range 1 6)))
 
 let step prop p cp =
-  let s = Propagation.scratch prop ~batch:p.Tensor.batch in
+  let s = Propagation.scratch prop ~batch:p.Tensor.batch ~steps:1 in
   let out = Tensor.create ~batch:p.Tensor.batch ~width:p.Tensor.width in
-  Propagation.forward_into prop s ~out ~p ~cp;
+  Propagation.forward_into prop s ~out ~p0:(Some p) ~cp;
   (s, out)
 
 (* p'[k] = cp[k] · q[class k], with q from a plain per-class fold *)
@@ -356,7 +356,7 @@ let prop_zero_safe_gradient =
             Tensor.set g b k 1.0
           done;
           let gp = Tensor.create ~batch ~width:n in
-          Propagation.backward_into prop s ~g ~p ~cp ~gp:(Some gp) ~gcp:None;
+          Propagation.backward_into prop s ~g ~cp ~gp0:(Some gp) ~gcp:None;
           let ok = ref true in
           for b = 0 to batch - 1 do
             let expected = Array.make n 0.0 in
@@ -388,7 +388,7 @@ let prop_backends_agree =
             let s, out = step prop p cp in
             let gp = Tensor.create ~batch:p.Tensor.batch ~width:p.Tensor.width in
             let gcp = Tensor.create ~batch:p.Tensor.batch ~width:p.Tensor.width in
-            Propagation.backward_into prop s ~g:cp ~p ~cp ~gp:(Some gp) ~gcp:(Some gcp);
+            Propagation.backward_into prop s ~g:cp ~cp ~gp0:(Some gp) ~gcp:(Some gcp);
             [ out; gp; gcp ]
           in
           let fast = Tensor.Backend.with_mode Tensor.Backend.Vectorized run in
@@ -407,11 +407,11 @@ let test_propagation_rejects_bad_structure () =
     Propagation.make ~mix:Propagation.Hybrid ~edge_node:[| 0; 2 |] ~parents
       ~node_class:[| 0; 1; 1 |] ~root:0
   in
-  let s = Propagation.scratch prop ~batch:2 in
+  let s = Propagation.scratch prop ~batch:2 ~steps:1 in
   let p = Tensor.create ~batch:1 ~width:3 in
   Alcotest.check_raises "scratch batch"
     (Invalid_argument "Propagation.forward_into: scratch for batch 2, inputs have 1") (fun () ->
-      Propagation.forward_into prop s ~out:(Tensor.create ~batch:1 ~width:3) ~p ~cp:p)
+      Propagation.forward_into prop s ~out:(Tensor.create ~batch:1 ~width:3) ~p0:(Some p) ~cp:p)
 
 let test_backend_reader () =
   let a = [| 1.5; 2.5 |] in

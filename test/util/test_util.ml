@@ -94,13 +94,69 @@ let contains haystack needle =
 (* A random propagation structure (not necessarily an e-graph's): e-nodes
    spread over e-classes, parent lists of 0..3 edges read from any
    e-node (repeats included), the last class always without parents and
-   a random root that may have parents of its own. *)
-let random_propagation rng ~mix ~nodes ~classes =
+   a random root that may have parents of its own. With [dag], class c's
+   parents are drawn only from e-nodes of later classes, so the only
+   cycles are none; otherwise self-loops and longer cycles are common. *)
+let random_propagation ?(dag = false) rng ~mix ~nodes ~classes =
   let lens = Array.init classes (fun c -> if c = classes - 1 then 0 else Rng.int rng 4) in
-  let parents = Segments.of_lens lens in
-  let edge_node = Array.init parents.Segments.width (fun _ -> Rng.int rng nodes) in
-  let node_class = Array.init nodes (fun _ -> Rng.int rng classes) in
-  Propagation.make ~mix ~edge_node ~parents ~node_class ~root:(Rng.int rng classes)
+  if not dag then begin
+    let parents = Segments.of_lens lens in
+    let edge_node = Array.init parents.Segments.width (fun _ -> Rng.int rng nodes) in
+    let node_class = Array.init nodes (fun _ -> Rng.int rng classes) in
+    Propagation.make ~mix ~edge_node ~parents ~node_class ~root:(Rng.int rng classes)
+  end
+  else begin
+    let node_class = Array.init nodes (fun _ -> Rng.int rng classes) in
+    let later c = Array.of_list (List.filter (fun k -> node_class.(k) > c) (List.init nodes Fun.id)) in
+    let edges =
+      List.init classes (fun c ->
+          let pool = later c in
+          if Array.length pool = 0 then lens.(c) <- 0;
+          Array.init lens.(c) (fun _ -> pool.(Rng.int rng (Array.length pool))))
+    in
+    Propagation.make ~mix ~edge_node:(Array.concat edges) ~parents:(Segments.of_lens lens)
+      ~node_class ~root:(Rng.int rng classes)
+  end
+
+(* The single-step oracle: [steps] chained one-step ops from [p0], or
+   from cp ⊙ q⁰[class] built the way the relaxation once built it (a
+   const q⁰, a gather and a mul). *)
+let chained_propagation ?p0 tape prop ~steps ~cp =
+  let start =
+    match p0 with
+    | Some p -> p
+    | None ->
+        let c = Ad.value cp in
+        let q0 = Tensor.create ~batch:c.Tensor.batch ~width:(Propagation.classes prop) in
+        for b = 0 to c.Tensor.batch - 1 do
+          Tensor.set q0 b prop.Propagation.root 1.0
+        done;
+        Ad.mul cp (Ad.gather (Ad.const tape q0) prop.Propagation.node_class)
+  in
+  let p = ref start in
+  for _ = 1 to steps do
+    p := Ad.propagate ~p0:!p prop ~steps:1 ~cp
+  done;
+  !p
+
+(* Every seed of the batch, decoded as the sampler decodes it. *)
+let sample_all ?repair g ~cp =
+  Array.init cp.Tensor.batch (fun seed -> Sampler.sample_seed ?repair g ~cp ~seed)
+
+(* The sampler's selection rule by the reference path: decode every seed,
+   validate and score it with [Cost_model.dense_solution], keep the
+   cheapest finite one, the earliest on ties. *)
+let best_of_decodes g ~model ~cp =
+  let best = ref None in
+  Array.iteri
+    (fun seed s ->
+      let cost = Cost_model.dense_solution model g s in
+      if Float.is_finite cost then
+        match !best with
+        | Some (_, _, c) when c <= cost -> ()
+        | Some _ | None -> best := Some (seed, s, cost))
+    (sample_all g ~cp);
+  !best
 
 (* Probabilities in (0, 1) whose distinct entries within a row lie at
    least 0.4 / (width + 1) apart: no ties a finite difference could
